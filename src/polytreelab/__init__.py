@@ -57,7 +57,6 @@ from .generators import (
 )
 from .search import (
     SearchReport,
-    approximation_ratio,
     exact_optimal_polytree,
     local_search_polytree,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "ToolkitError",
     "ValidationError",
     "VariableMeta",
-    "approximation_ratio",
     "bernoulli_bias_for_entropy",
     "best_assignment",
     "binary_entropy_bits",

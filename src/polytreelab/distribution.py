@@ -14,7 +14,12 @@ Conventions used throughout the package:
 
 Entropies are computed by plug-in summation over the dense table. There is
 no factored representation: the toolkit targets small variable counts where
-exact enumeration is the whole point.
+exact enumeration is the whole point. Each ``Distribution`` memoises its
+entropies by variable set, so repeated queries cost one dictionary lookup.
+
+Dataset CSV bodies are parsed by ``np.loadtxt``; any body it rejects, or
+reads with another column count, is parsed again by the row loop, which is
+the reference reading and the one that reports line-numbered errors.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -47,7 +53,7 @@ class VariableMeta:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError("variable name must be a non-empty string")
-        if not isinstance(self.arity, int) or self.arity < 1:
+        if isinstance(self.arity, bool) or not isinstance(self.arity, int) or self.arity < 1:
             raise ValidationError(
                 f"variable {self.name!r}: arity must be an integer >= 1, got {self.arity!r}"
             )
@@ -101,6 +107,8 @@ class Distribution:
             raise ValidationError(
                 f"table has {arr.size} entries, expected {int(np.prod(shape, dtype=np.int64))}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("probabilities must be finite, got NaN or infinity")
         arr = arr.reshape(shape).copy(order="C")
         low = arr.min(initial=0.0)
         if low < -PROB_CLAMP:
@@ -114,6 +122,8 @@ class Distribution:
         arr.setflags(write=False)
         object.__setattr__(self, "variables", metas)
         object.__setattr__(self, "table", arr)
+        # Entropy in bits per variable set (bitmask); see ``entropy``.
+        object.__setattr__(self, "_entropy_memo", {})
 
     @property
     def n(self) -> int:
@@ -182,10 +192,11 @@ def empirical_distribution(
     states = _check_state_cap(arities, max_states)
     if dataset.n_rows == 0 and alpha == 0.0:
         raise ValidationError("cannot estimate a distribution from zero rows with alpha=0")
-    counts = np.zeros(states, dtype=np.float64)
     if dataset.n_rows:
         flat = np.ravel_multi_index(dataset.rows.T, arities)
-        np.add.at(counts, flat, 1.0)
+        counts = np.bincount(flat, minlength=states).astype(np.float64)
+    else:
+        counts = np.zeros(states, dtype=np.float64)
     counts += alpha
     counts /= counts.sum()
     return Distribution(dataset.variables, counts, max_states=max_states)
@@ -229,11 +240,21 @@ def _entropy_of_flat(probabilities: np.ndarray) -> float:
 
 def entropy(dist: Distribution, variables: Sequence[int] | None = None) -> float:
     """Shannon entropy, in bits, of the joint marginal over ``variables``
-    (all variables when omitted)."""
+    (all variables when omitted).
+
+    Memoised per distribution by variable set: the reduction keeps axes in
+    ascending order whatever order was asked for, so a cached value is the
+    one a fresh reduction would return, bit for bit.
+    """
     axes = _axes_tuple(dist, variables)
-    drop = tuple(i for i in range(dist.n) if i not in axes)
-    table = dist.table.sum(axis=drop) if drop else dist.table
-    return _entropy_of_flat(np.asarray(table))
+    mask = sum(1 << v for v in axes)
+    memo = dist._entropy_memo
+    h = memo.get(mask)
+    if h is None:
+        drop = tuple(i for i in range(dist.n) if not mask >> i & 1)
+        table = dist.table.sum(axis=drop) if drop else dist.table
+        h = memo[mask] = _entropy_of_flat(np.asarray(table))
+    return h
 
 
 def conditional_entropy(
@@ -321,6 +342,19 @@ def bernoulli_bias_for_entropy(bits: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _read_body_numpy(fh, n_columns: int) -> np.ndarray | None:
+    """The rest of ``fh`` as an int64 matrix, or None where ``np.loadtxt``
+    disagrees with the row loop's reading (it then raises or, for a body of
+    another width, returns a different column count)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return data if data.shape[1] == n_columns else None
+
+
 def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -331,18 +365,25 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
         names = [h.strip() for h in header]
         if any(not n for n in names):
             raise FormatError(f"{path}: blank column name in header")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(names):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(names)} values, got {len(row)}"
-                )
-            try:
-                rows.append([int(v) for v in row])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer value ({exc})") from None
+        rows = _read_body_numpy(fh, len(names))
+        if rows is None:
+            # The row loop is the reference reading; it alone names the line
+            # of a malformed row.
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(names):
+                    raise FormatError(
+                        f"{path}:{lineno}: expected {len(names)} values, got {len(row)}"
+                    )
+                try:
+                    rows.append([int(v) for v in row])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: non-integer value ({exc})") from None
     data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
     metas = []
     for j, name in enumerate(names):
@@ -374,7 +415,7 @@ def read_arity_sidecar(path: str) -> dict[str, int]:
         raise FormatError(f"{path}: arity sidecar must be a JSON object of name -> arity")
     out: dict[str, int] = {}
     for name, arity in raw.items():
-        if not isinstance(arity, int) or arity < 1:
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
             raise FormatError(f"{path}: arity for {name!r} must be an integer >= 1")
         out[name] = arity
     return out

@@ -52,21 +52,20 @@ class SearchReport:
 
 
 class ScoreCache:
-    """Memoized set entropies and conditional entropies, keyed by bitmask."""
+    """Memoized conditional entropies keyed by (node, parent bitmask).
+
+    Set entropies are memoised by ``entropy`` itself, per distribution.
+    """
 
     def __init__(self, dist: Distribution):
         self._dist = dist
         self._n = dist.n
-        self._set_bits: dict[int, float] = {0: 0.0}
         self._cond: dict[tuple[int, int], float] = {}
 
     def set_entropy(self, mask: int) -> float:
-        cached = self._set_bits.get(mask)
-        if cached is None:
-            axes = tuple(i for i in range(self._n) if mask >> i & 1)
-            cached = entropy(self._dist, axes)
-            self._set_bits[mask] = cached
-        return cached
+        if mask == 0:
+            return 0.0
+        return entropy(self._dist, tuple(i for i in range(self._n) if mask >> i & 1))
 
     def conditional(self, node: int, parent_mask: int) -> float:
         key = (node, parent_mask)
@@ -306,17 +305,6 @@ def _finish_report(
         excess_bits=excess,
         instances_enumerated=enumerated,
     )
-
-
-def approximation_ratio(
-    dist: Distribution,
-    k: int | None = None,
-    *,
-    max_nodes: int = EXACT_MAX_NODES,
-    jobs: int = 1,
-) -> SearchReport:
-    """Learned-branching score against the exact PT(k) optimum."""
-    return exact_optimal_polytree(dist, k, max_nodes=max_nodes, jobs=jobs)
 
 
 def _components_without_edge(

@@ -53,9 +53,6 @@ class UnionFind:
         self._size[ra] += self._size[rb]
         return True
 
-    def same(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
 
 @dataclass(frozen=True, eq=False)
 class Structure:

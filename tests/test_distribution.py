@@ -57,6 +57,16 @@ class TestDistributionValidation:
         with pytest.raises(ValidationError):
             Distribution([VariableMeta("X1", 2)], np.array([1.1, -0.1]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_entries(self, bad):
+        metas = [VariableMeta("A", 2), VariableMeta("B", 2)]
+        with pytest.raises(ValidationError, match="finite"):
+            Distribution(metas, np.array([bad, 0.5, 0.25, 0.25]))
+
+    def test_rejects_bool_arity(self):
+        with pytest.raises(ValidationError):
+            VariableMeta("x", True)
+
     def test_clamps_tiny_negative_noise(self):
         dist = Distribution([VariableMeta("X1", 2)], np.array([1.0 + 1e-13, -1e-13]))
         assert dist.table[1] == 0.0
@@ -205,6 +215,16 @@ class TestEmpirical:
         dist = empirical_distribution(Dataset(metas, rows), alpha=1.0)
         np.testing.assert_allclose(dist.table, np.array([0.75, 0.25]), atol=1e-12)
 
+    def test_counts_match_add_at(self):
+        rng = np.random.default_rng(11)
+        metas = [VariableMeta("A", 3), VariableMeta("B", 2), VariableMeta("C", 4)]
+        rows = np.stack([rng.integers(0, m.arity, size=5000) for m in metas], axis=1)
+        counts = np.zeros(24)
+        np.add.at(counts, np.ravel_multi_index(rows.T, (3, 2, 4)), 1.0)
+        counts /= counts.sum()
+        dist = empirical_distribution(Dataset(metas, rows))
+        np.testing.assert_array_equal(dist.table.reshape(-1), counts)
+
     def test_rejects_out_of_range_values(self):
         metas = [VariableMeta("A", 2)]
         with pytest.raises(ValidationError):
@@ -235,6 +255,12 @@ class TestFileFormats:
         back = read_dataset_csv(str(data), read_arity_sidecar(str(side)))
         assert back.variables[0].arity == 4
 
+    def test_sidecar_rejects_bool_arity(self, tmp_path):
+        side = tmp_path / "a.json"
+        side.write_text(json.dumps({"A": True}))
+        with pytest.raises(FormatError):
+            read_arity_sidecar(str(side))
+
     def test_csv_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("A,B\n0\n")
@@ -259,6 +285,15 @@ class TestFileFormats:
         path = tmp_path / "bad.json"
         path.write_text("{\"variables\": []}")
         with pytest.raises(FormatError):
+            read_distribution_json(str(path))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_distribution_json_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"variables": [{"name": "A", "arity": 2}], "probabilities": [%s, 0.5]}' % bad
+        )
+        with pytest.raises(FormatError, match="finite"):
             read_distribution_json(str(path))
 
     def test_distribution_json_honours_state_cap(self, tmp_path):
