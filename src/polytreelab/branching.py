@@ -57,16 +57,12 @@ def _orient_forest(n: int, chosen: list[tuple[int, int]]) -> Structure:
     for a, b in chosen:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    uf = UnionFind(n)
-    for a, b in chosen:
-        uf.union(a, b)
-    roots = {}
-    for v in range(n):
-        r = uf.find(v)
-        roots[r] = min(roots.get(r, v), v)
     parents: list[tuple[int, ...]] = [()] * n
     seen = [False] * n
-    for root in sorted(set(roots.values())):
+    for root in range(n):
+        if seen[root]:
+            continue
+        # Every smaller node was seen, so ``root`` is its tree's minimum.
         stack = [root]
         seen[root] = True
         while stack:

@@ -29,6 +29,7 @@ from .distribution import (
     DEFAULT_STATE_CAP,
     Dataset,
     Distribution,
+    bernoulli_bias_for_entropy,
     empirical_distribution,
     read_arity_sidecar,
     read_dataset_csv,
@@ -335,6 +336,8 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
     With ``--format csv`` (or ``--max-depth``) the command sweeps depths,
     learns a branching per depth, and emits (depth, branching_bits,
     polytree_bits, ratio) rows; otherwise it emits one distribution JSON.
+    A row's polytree_bits is the score of the generating polytree, not of
+    the optimal one, so its ratio is a lower bound on branching/optimal.
     """
     if fmt == "csv" or max_depth is not None:
         top = max_depth if max_depth is not None else (depth if depth else 3)
@@ -374,7 +377,7 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
             "depth": depth,
             "eps": eps,
             "num_variables": dist.n,
-            "source_bias": gen_mod.solve_source_bias(eps),
+            "source_bias": bernoulli_bias_for_entropy(eps),
             "generating_score_bits": structure_mod.score(dist, generating).total_bits,
             "structure": structure_mod.structure_to_json_dict(generating, names),
         }

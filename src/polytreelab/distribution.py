@@ -14,8 +14,11 @@ Conventions used throughout the package:
 
 Entropies are computed by plug-in summation over the dense table. There is
 no factored representation: the toolkit targets small variable counts where
-exact enumeration is the whole point. Each ``Distribution`` memoises its
-entropies by variable set, so repeated queries cost one dictionary lookup.
+exact enumeration is the whole point. Every entropy query goes through one
+memoised ``EntropyOracle`` per data source (``Distribution.oracle`` here,
+``CompiledGadget.oracle`` for the gadget), keyed by variable bitmask. It
+holds the single round-off rule: a value at most ``ENTROPY_CLAMP`` below
+zero reads 0.0, anything lower raises ``NumericsError``.
 
 Dataset CSV bodies are parsed by ``np.loadtxt``; any body it rejects, or
 reads with another column count, is parsed again by the row loop, which is
@@ -29,7 +32,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +45,43 @@ PROB_CLAMP = 1e-12
 PROB_SUM_TOL = 1e-9
 # Entropy sums this far below zero are float round-off; below it, a bug.
 ENTROPY_CLAMP = 1e-12
+_INT64 = np.iinfo(np.int64)
+
+
+def _round_off(value: float, quantity: str) -> float:
+    """``value`` with float round-off below zero taken out (see ``ENTROPY_CLAMP``)."""
+    if value < 0.0:
+        if value >= -ENTROPY_CLAMP:
+            return 0.0
+        raise NumericsError(f"{quantity} came out {value}, beyond float round-off")
+    return value
+
+
+class EntropyOracle:
+    """Memoised entropies in bits of one data source; bit ``i`` of a mask is
+    variable ``i``. ``set_entropy(mask)`` computes an uncached set entropy.
+    A query that raises caches nothing."""
+
+    def __init__(self, set_entropy: Callable[[int], float]):
+        self._set_entropy = set_entropy
+        self._h: dict[int, float] = {0: 0.0}
+        self._cond: dict[tuple[int, int], float] = {}
+
+    def h(self, mask: int) -> float:
+        """Entropy of the variables in ``mask``; ``h(0) == 0.0``."""
+        value = self._h.get(mask)
+        if value is None:
+            value = self._h[mask] = _round_off(self._set_entropy(mask), "entropy")
+        return value
+
+    def conditional(self, node: int, parent_mask: int) -> float:
+        """H(node | parents), as ``h(parents + node) - h(parents)``."""
+        key = (node, parent_mask)
+        value = self._cond.get(key)
+        if value is None:
+            value = self.h(parent_mask | 1 << node) - self.h(parent_mask)
+            value = self._cond[key] = _round_off(value, "conditional entropy")
+        return value
 
 
 @dataclass(frozen=True)
@@ -122,8 +163,7 @@ class Distribution:
         arr.setflags(write=False)
         object.__setattr__(self, "variables", metas)
         object.__setattr__(self, "table", arr)
-        # Entropy in bits per variable set (bitmask); see ``entropy``.
-        object.__setattr__(self, "_entropy_memo", {})
+        object.__setattr__(self, "oracle", EntropyOracle(partial(_table_entropy, arr)))
 
     @property
     def n(self) -> int:
@@ -230,31 +270,24 @@ def marginal(dist: Distribution, variables: Sequence[int]) -> Distribution:
 def _entropy_of_flat(probabilities: np.ndarray) -> float:
     p = probabilities.reshape(-1)
     nz = p[p > 0.0]
-    h = float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
-    if h < 0.0:
-        if h >= -ENTROPY_CLAMP:
-            return 0.0
-        raise NumericsError(f"entropy sum came out {h}, beyond float round-off")
-    return h
+    return float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
+
+
+def _table_entropy(table: np.ndarray, mask: int) -> float:
+    """Entropy of the marginal over the axes in ``mask``. The axes stay
+    ascending, so a set's bits do not depend on the order it was named in."""
+    drop = tuple(i for i in range(table.ndim) if not mask >> i & 1)
+    return _entropy_of_flat(np.asarray(table.sum(axis=drop) if drop else table))
+
+
+def _mask(axes: Iterable[int]) -> int:
+    return sum(1 << v for v in axes)
 
 
 def entropy(dist: Distribution, variables: Sequence[int] | None = None) -> float:
     """Shannon entropy, in bits, of the joint marginal over ``variables``
-    (all variables when omitted).
-
-    Memoised per distribution by variable set: the reduction keeps axes in
-    ascending order whatever order was asked for, so a cached value is the
-    one a fresh reduction would return, bit for bit.
-    """
-    axes = _axes_tuple(dist, variables)
-    mask = sum(1 << v for v in axes)
-    memo = dist._entropy_memo
-    h = memo.get(mask)
-    if h is None:
-        drop = tuple(i for i in range(dist.n) if not mask >> i & 1)
-        table = dist.table.sum(axis=drop) if drop else dist.table
-        h = memo[mask] = _entropy_of_flat(np.asarray(table))
-    return h
+    (all variables when omitted)."""
+    return dist.oracle.h(_mask(_axes_tuple(dist, variables)))
 
 
 def conditional_entropy(
@@ -271,29 +304,23 @@ def conditional_entropy(
     giv = tuple(int(g) for g in given)
     if set(tgt) & set(giv):
         raise ValidationError(f"target {tgt} and conditioning set {giv} overlap")
-    h_joint = entropy(dist, tgt + giv)
-    h_given = entropy(dist, giv) if giv else 0.0
-    value = h_joint - h_given
-    if value < 0.0:
-        if value >= -ENTROPY_CLAMP:
-            return 0.0
-        raise NumericsError(f"conditional entropy came out {value}, beyond float round-off")
-    return value
+    _axes_tuple(dist, tgt + giv)
+    oracle, given_mask = dist.oracle, _mask(giv)
+    if len(tgt) == 1:
+        return oracle.conditional(tgt[0], given_mask)
+    joint = oracle.h(_mask(tgt) | given_mask)
+    return _round_off(joint - oracle.h(given_mask), "conditional entropy")
 
 
 def mutual_information(dist: Distribution, a: int, b: int) -> float:
     """I(a; b) in bits. Evaluation order is canonicalized so the result is
-    exactly symmetric in its arguments; values within 1e-12 below zero are
-    clamped to zero."""
+    exactly symmetric in its arguments."""
     if a == b:
         raise ValidationError("mutual information needs two distinct variables")
-    lo, hi = (a, b) if a < b else (b, a)
-    value = entropy(dist, (lo,)) + entropy(dist, (hi,)) - entropy(dist, (lo, hi))
-    if value < 0.0:
-        if value >= -ENTROPY_CLAMP:
-            return 0.0
-        raise NumericsError(f"mutual information came out {value}, beyond float round-off")
-    return value
+    lo, hi = sorted(_axes_tuple(dist, (a, b)))
+    h = dist.oracle.h
+    value = h(1 << lo) + h(1 << hi) - h(1 << lo | 1 << hi)
+    return _round_off(value, "mutual information")
 
 
 def binary_entropy_bits(p: float) -> float:
@@ -381,9 +408,12 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
                         f"{path}:{lineno}: expected {len(names)} values, got {len(row)}"
                     )
                 try:
-                    rows.append([int(v) for v in row])
+                    values = [int(v) for v in row]
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: non-integer value ({exc})") from None
+                if not all(_INT64.min <= v <= _INT64.max for v in values):
+                    raise FormatError(f"{path}:{lineno}: value outside the int64 range")
+                rows.append(values)
     data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
     metas = []
     for j, name in enumerate(names):
@@ -405,6 +435,12 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
             writer.writerow([int(v) for v in row])
 
 
+def _json_arity(path: str, name: object, arity: object) -> int:
+    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+        raise FormatError(f"{path}: arity for {name!r} must be an integer >= 1")
+    return arity
+
+
 def read_arity_sidecar(path: str) -> dict[str, int]:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -413,12 +449,7 @@ def read_arity_sidecar(path: str) -> dict[str, int]:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: arity sidecar must be a JSON object of name -> arity")
-    out: dict[str, int] = {}
-    for name, arity in raw.items():
-        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
-            raise FormatError(f"{path}: arity for {name!r} must be an integer >= 1")
-        out[name] = arity
-    return out
+    return {name: _json_arity(path, name, arity) for name, arity in raw.items()}
 
 
 def read_distribution_json(path: str, *, max_states: int = DEFAULT_STATE_CAP) -> Distribution:
@@ -430,7 +461,10 @@ def read_distribution_json(path: str, *, max_states: int = DEFAULT_STATE_CAP) ->
     if not isinstance(raw, dict) or "variables" not in raw or "probabilities" not in raw:
         raise FormatError(f"{path}: expected keys 'variables' and 'probabilities'")
     try:
-        metas = [VariableMeta(str(v["name"]), int(v["arity"])) for v in raw["variables"]]
+        metas = [
+            VariableMeta(str(v["name"]), _json_arity(path, v["name"], v["arity"]))
+            for v in raw["variables"]
+        ]
     except (TypeError, KeyError) as exc:
         raise FormatError(f"{path}: malformed variable entry ({exc})") from None
     probs = raw["probabilities"]

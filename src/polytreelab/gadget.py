@@ -34,8 +34,9 @@ Optionally each satellite is shielded by two blocker nodes ``A`` and ``B``
 the only attractive option. This expansion is off by default.
 
 Full joints over all coins are astronomically large, so the compiled
-object is a sampler plus an exact entropy-query engine that enumerates
-only the ancestor coins of the queried nodes.
+object is a sampler plus an exact ``EntropyOracle`` (``oracle``) whose
+backend enumerates only the ancestor coins of the queried nodes, in
+ascending node order.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 from .cnf import CnfFormula, best_assignment, satisfied_clauses
 from .distribution import (
     Dataset,
+    EntropyOracle,
     VariableMeta,
     bernoulli_bias_for_entropy,
     binary_entropy_bits,
@@ -201,8 +203,8 @@ class CompiledGadget:
         self.params = params
         self.coin_biases: dict[str, float] = {}
         self.nodes: tuple[GadgetNode, ...] = self._build_nodes()
-        self._node_by_name = {node.name: node for node in self.nodes}
         self._index_by_name = {node.name: i for i, node in enumerate(self.nodes)}
+        self.oracle = EntropyOracle(self._coin_entropy)
 
     def _build_nodes(self) -> tuple[GadgetNode, ...]:
         p = self.params.clause_bias
@@ -254,11 +256,14 @@ class CompiledGadget:
     def variables(self) -> tuple[VariableMeta, ...]:
         return tuple(VariableMeta(node.name, node.arity) for node in self.nodes)
 
-    def node(self, name: str) -> GadgetNode:
+    def _index(self, name: str) -> int:
         try:
-            return self._node_by_name[name]
+            return self._index_by_name[name]
         except KeyError:
             raise ValidationError(f"unknown gadget node {name!r}") from None
+
+    def node(self, name: str) -> GadgetNode:
+        return self.nodes[self._index(name)]
 
     # -- exact entropy queries -------------------------------------------
 
@@ -288,15 +293,10 @@ class CompiledGadget:
             return (bits[node.coins[0]] ^ bits[node.coins[1]]).astype(np.int64)
         raise ValidationError(f"unknown node kind {node.kind!r}")
 
-    def joint_entropy_bits(self, names: Sequence[str]) -> float:
-        """Exact joint entropy of the named nodes, in bits.
-
-        Enumerates only the union of their ancestor coins; refuses queries
-        whose coin scope exceeds ``ENTROPY_QUERY_MAX_COINS``.
-        """
-        node_list = [self.node(name) for name in names]
-        if not node_list:
-            return 0.0
+    def _coin_entropy(self, mask: int) -> float:
+        """Oracle backend: joint entropy of the nodes in ``mask``, taken in
+        ascending node order, by enumerating only their ancestor coins."""
+        node_list = [node for i, node in enumerate(self.nodes) if mask >> i & 1]
         coin_names = sorted({c for node in node_list for c in node.coins})
         if len(coin_names) > ENTROPY_QUERY_MAX_COINS:
             raise CapExceededError(
@@ -323,18 +323,27 @@ class CompiledGadget:
         occupied = masses[masses > 1e-300]
         return float(-(occupied * np.log2(occupied)).sum())
 
+    def _mask(self, names: Sequence[str]) -> int:
+        return sum({1 << self._index(name) for name in names})
+
+    def joint_entropy_bits(self, names: Sequence[str]) -> float:
+        """Exact joint entropy of the named nodes, in bits.
+
+        Enumerates only the union of their ancestor coins; refuses queries
+        whose coin scope exceeds ``ENTROPY_QUERY_MAX_COINS``.
+        """
+        return self.oracle.h(self._mask(names))
+
     def conditional_entropy_bits(self, target: str, given: Sequence[str]) -> float:
         given = list(given)
         if target in given:
             raise ValidationError(f"target {target!r} also appears in the given set")
-        joint = self.joint_entropy_bits([target] + given)
-        return joint - self.joint_entropy_bits(given)
+        return self.oracle.conditional(self._index(target), self._mask(given))
 
     def entropy_decrease_bits(self, target: str, given: Sequence[str]) -> float:
         """How much conditioning on ``given`` lowers the target's entropy."""
-        return self.joint_entropy_bits([target]) - self.conditional_entropy_bits(
-            target, given
-        )
+        alone = self.oracle.h(1 << self._index(target))
+        return alone - self.conditional_entropy_bits(target, given)
 
     # -- analytic targets and metadata -------------------------------------
 

@@ -218,8 +218,3 @@ def xor_tree_generating_score_bits(depth: int, eps: float) -> float:
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     return float(2**depth) * eps
-
-
-def solve_source_bias(eps: float) -> float:
-    """Bias of the XOR tree's leaf coins (entropy ``eps``), for reporting."""
-    return bernoulli_bias_for_entropy(eps)

@@ -14,15 +14,19 @@ a fixed order).
 ``local_search_polytree`` is a steepest-descent heuristic over the moves
 add / remove / reverse / swap; it never worsens its seed but can stall at
 local minima (parity-style distributions defeat it by design).
+
+Both searches read their score terms from ``dist.oracle.conditional``, so
+one memo serves every first-edge task run in a process.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .branching import learn_optimal_branching
-from .distribution import Distribution, entropy
+from .distribution import Distribution, EntropyOracle
 from .errors import CapExceededError, ValidationError
 from .structure import Structure, UnionFind, is_polytree, max_indegree, score
 
@@ -51,62 +55,8 @@ class SearchReport:
     instances_enumerated: int
 
 
-class ScoreCache:
-    """Memoized conditional entropies keyed by (node, parent bitmask).
-
-    Set entropies are memoised by ``entropy`` itself, per distribution.
-    """
-
-    def __init__(self, dist: Distribution):
-        self._dist = dist
-        self._n = dist.n
-        self._cond: dict[tuple[int, int], float] = {}
-
-    def set_entropy(self, mask: int) -> float:
-        if mask == 0:
-            return 0.0
-        return entropy(self._dist, tuple(i for i in range(self._n) if mask >> i & 1))
-
-    def conditional(self, node: int, parent_mask: int) -> float:
-        key = (node, parent_mask)
-        cached = self._cond.get(key)
-        if cached is None:
-            value = self.set_entropy(parent_mask | (1 << node)) - self.set_entropy(parent_mask)
-            cached = value if value > 0.0 else 0.0
-            self._cond[key] = cached
-        return cached
-
-
 def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
-
-
-class _RollbackUnionFind:
-    """Union-find without path compression so unions can be undone."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> tuple[int, int] | None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra, rb
-
-    def undo(self, record: tuple[int, int]) -> None:
-        ra, rb = record
-        self.parent[rb] = rb
-        self.size[ra] -= self.size[rb]
 
 
 class _Best:
@@ -143,7 +93,7 @@ class _Best:
 
 def _scan_orientations(
     edges: list[tuple[int, int]],
-    cache: ScoreCache,
+    oracle: EntropyOracle,
     k: int,
     n: int,
     best: _Best,
@@ -161,7 +111,7 @@ def _scan_orientations(
     for a, b in edges:
         parent_mask[b] |= 1 << a
         indegree[b] += 1
-    terms = [cache.conditional(v, parent_mask[v]) for v in range(n)]
+    terms = [oracle.conditional(v, parent_mask[v]) for v in range(n)]
     violations = sum(1 for v in range(n) if indegree[v] > k)
     scored = 0
     if violations == 0:
@@ -185,8 +135,8 @@ def _scan_orientations(
         d = indegree[gains]
         indegree[gains] = d + 1
         violations += (1 if d + 1 > k else 0) - (1 if d > k else 0)
-        terms[loses] = cache.conditional(loses, parent_mask[loses])
-        terms[gains] = cache.conditional(gains, parent_mask[gains])
+        terms[loses] = oracle.conditional(loses, parent_mask[loses])
+        terms[gains] = oracle.conditional(gains, parent_mask[gains])
         if violations == 0:
             scored += 1
             best.offer(sum(terms), parent_mask, n)
@@ -197,15 +147,15 @@ def _enumerate_with_first_edge(dist: Distribution, k: int, first: int) -> tuple[
     """Walk every forest whose smallest included edge index equals ``first``."""
     n = dist.n
     pairs = _all_pairs(n)
-    cache = ScoreCache(dist)
+    oracle = dist.oracle
     best = _Best()
-    uf = _RollbackUnionFind(n)
+    uf = UnionFind(n)
     chosen: list[tuple[int, int]] = []
     counter = 0
 
     def extend(next_index: int) -> None:
         nonlocal counter
-        counter += _scan_orientations(chosen, cache, k, n, best)
+        counter += _scan_orientations(chosen, oracle, k, n, best)
         for idx in range(next_index, len(pairs)):
             a, b = pairs[idx]
             record = uf.union(a, b)
@@ -216,18 +166,10 @@ def _enumerate_with_first_edge(dist: Distribution, k: int, first: int) -> tuple[
             chosen.pop()
             uf.undo(record)
 
-    a0, b0 = pairs[first]
-    record0 = uf.union(a0, b0)
-    assert record0 is not None
-    chosen.append((a0, b0))
+    uf.union(*pairs[first])
+    chosen.append(pairs[first])
     extend(first + 1)
     return counter, best
-
-
-def _search_task(payload: tuple[Distribution, int, int]) -> tuple[int, float, object, object]:
-    dist, k, first = payload
-    counter, best = _enumerate_with_first_edge(dist, k, first)
-    return counter, best.score, best.key, best.parents
 
 
 def exact_optimal_polytree(
@@ -262,23 +204,18 @@ def exact_optimal_polytree(
     pairs = _all_pairs(n)
     best = _Best()
     # The empty forest is every task's common ancestor; score it once here.
-    cache = ScoreCache(dist)
     empty_masks = [0] * n
-    best.offer(sum(cache.conditional(v, 0) for v in range(n)), empty_masks, n)
+    best.offer(sum(dist.oracle.conditional(v, 0) for v in range(n)), empty_masks, n)
     enumerated = 1
 
-    tasks = list(range(len(pairs)))
+    tasks = range(len(pairs))
     if jobs == 1 or len(tasks) <= 1:
-        results = [_search_task((dist, k_eff, first)) for first in tasks]
+        results = [_enumerate_with_first_edge(dist, k_eff, first) for first in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_search_task, [(dist, k_eff, first) for first in tasks]))
-    for counter, task_score, task_key, task_parents in results:
+            results = list(pool.map(_enumerate_with_first_edge, repeat(dist), repeat(k_eff), tasks))
+    for counter, partial in results:
         enumerated += counter
-        partial = _Best()
-        partial.score = task_score
-        partial.key = task_key  # type: ignore[assignment]
-        partial.parents = task_parents  # type: ignore[assignment]
         best.merge(partial)
 
     assert best.parents is not None
@@ -348,12 +285,12 @@ def local_search_polytree(
     if not is_polytree(seed_structure) or max_indegree(seed_structure) > k:
         raise ValidationError("seed structure must be a polytree with indegree <= k")
 
-    cache = ScoreCache(dist)
+    oracle = dist.oracle
     parent_masks = [0] * n
     for child, ps in enumerate(seed_structure.parents):
         for p in ps:
             parent_masks[child] |= 1 << p
-    terms = [cache.conditional(v, parent_masks[v]) for v in range(n)]
+    terms = [oracle.conditional(v, parent_masks[v]) for v in range(n)]
     evaluated = 0
     applied = 0
 
@@ -373,7 +310,7 @@ def local_search_polytree(
         def consider(move: tuple, changes: dict[int, int]) -> None:
             nonlocal best_gain, best_move, best_changes, evaluated
             evaluated += 1
-            gain = sum(terms[v] - cache.conditional(v, m) for v, m in changes.items())
+            gain = sum(terms[v] - oracle.conditional(v, m) for v, m in changes.items())
             if gain > best_gain or (
                 gain == best_gain and best_move is not None and move < best_move
             ):
@@ -420,7 +357,7 @@ def local_search_polytree(
         assert best_changes is not None
         for v, mask in best_changes.items():
             parent_masks[v] = mask
-            terms[v] = cache.conditional(v, mask)
+            terms[v] = oracle.conditional(v, mask)
         applied += 1
         # Every accepted move must preserve the search invariant.
         snapshot = Structure(

@@ -28,30 +28,33 @@ from .errors import FormatError, ValidationError
 
 
 class UnionFind:
-    """Disjoint sets over ``0..n-1`` with union by size and path compression."""
+    """Disjoint sets over ``0..n-1`` with union by size and no path
+    compression, so ``undo`` can revert unions, most recent first."""
 
     def __init__(self, n: int):
         self._parent = list(range(n))
         self._size = [1] * n
 
     def find(self, x: int) -> int:
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
+        while self._parent[x] != x:
+            x = self._parent[x]
+        return x
 
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; False if already joined."""
+    def union(self, a: int, b: int) -> tuple[int, int] | None:
+        """Merge the sets of ``a`` and ``b``; the undo record, or None if joined."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
+            return None
         if self._size[ra] < self._size[rb]:
             ra, rb = rb, ra
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
-        return True
+        return ra, rb
+
+    def undo(self, record: tuple[int, int]) -> None:
+        ra, rb = record
+        self._parent[rb] = rb
+        self._size[ra] -= self._size[rb]
 
 
 @dataclass(frozen=True, eq=False)

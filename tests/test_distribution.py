@@ -273,6 +273,27 @@ class TestFileFormats:
         with pytest.raises(FormatError):
             read_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-9223372036854775809"])
+    def test_csv_rejects_values_outside_int64(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text(f"A,B\n1,0\n{value},1\n")
+        with pytest.raises(FormatError, match=r"d\.csv:3: value outside the int64 range"):
+            read_dataset_csv(str(path))
+
+    def test_csv_reads_the_largest_int64(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('A\n"9223372036854775807"\n')  # quoted: read by the row loop
+        assert read_dataset_csv(str(path)).rows[0, 0] == 2**63 - 1
+
+    @pytest.mark.parametrize("arity", ["2.7", "2.0", "true", '"2"', "null", "0"])
+    def test_distribution_json_rejects_non_integer_arity(self, tmp_path, arity):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"variables": [{"name": "A", "arity": %s}], "probabilities": [0.5, 0.5]}' % arity
+        )
+        with pytest.raises(FormatError, match="arity for 'A' must be an integer >= 1"):
+            read_distribution_json(str(path))
+
     def test_distribution_json_round_trip(self, tmp_path):
         dist = random_distribution([2, 3], seed=5)
         path = str(tmp_path / "dist.json")

@@ -5,6 +5,7 @@ import pytest
 
 from polytreelab.distribution import (
     VariableMeta,
+    bernoulli_bias_for_entropy,
     conditional_entropy,
     entropy,
     marginal,
@@ -16,7 +17,6 @@ from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
     random_polytree_instance,
-    solve_source_bias,
     xor_tree_family,
     xor_tree_generating_score_bits,
 )
@@ -165,7 +165,7 @@ class TestXorTreeFamily:
     def test_root_marginal_from_leaf_bias(self):
         eps = 0.3
         dist, _ = xor_tree_family(1, eps)
-        p = solve_source_bias(eps)
+        p = bernoulli_bias_for_entropy(eps)
         root_one = 2 * p * (1 - p)
         marg = marginal(dist, [0])
         assert marg.table[1] == pytest.approx(root_one, abs=1e-12)
@@ -256,9 +256,9 @@ class TestRandomPolytreeInstance:
 
 class TestSolveSourceBias:
     def test_endpoints_and_window(self):
-        assert solve_source_bias(1.0) == 0.5
-        assert 0.10 < solve_source_bias(0.5) < 0.12
+        assert bernoulli_bias_for_entropy(1.0) == 0.5
+        assert 0.10 < bernoulli_bias_for_entropy(0.5) < 0.12
         for eps in (0.1, 0.3, 0.7):
-            p = solve_source_bias(eps)
+            p = bernoulli_bias_for_entropy(eps)
             x = np.array([p, 1 - p])
             assert -(x * np.log2(x)).sum() == pytest.approx(eps, abs=1e-9)
