@@ -304,12 +304,9 @@ def conditional_entropy(
     giv = tuple(int(g) for g in given)
     if set(tgt) & set(giv):
         raise ValidationError(f"target {tgt} and conditioning set {giv} overlap")
-    _axes_tuple(dist, tgt + giv)
-    oracle, given_mask = dist.oracle, _mask(giv)
-    if len(tgt) == 1:
-        return oracle.conditional(tgt[0], given_mask)
-    joint = oracle.h(_mask(tgt) | given_mask)
-    return _round_off(joint - oracle.h(given_mask), "conditional entropy")
+    h_joint = entropy(dist, tgt + giv)
+    h_given = entropy(dist, giv) if giv else 0.0
+    return _round_off(h_joint - h_given, "conditional entropy")
 
 
 def mutual_information(dist: Distribution, a: int, b: int) -> float:
@@ -317,9 +314,8 @@ def mutual_information(dist: Distribution, a: int, b: int) -> float:
     exactly symmetric in its arguments."""
     if a == b:
         raise ValidationError("mutual information needs two distinct variables")
-    lo, hi = sorted(_axes_tuple(dist, (a, b)))
-    h = dist.oracle.h
-    value = h(1 << lo) + h(1 << hi) - h(1 << lo | 1 << hi)
+    lo, hi = (a, b) if a < b else (b, a)
+    value = entropy(dist, (lo,)) + entropy(dist, (hi,)) - entropy(dist, (lo, hi))
     return _round_off(value, "mutual information")
 
 

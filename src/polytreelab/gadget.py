@@ -51,6 +51,7 @@ from .distribution import (
     Dataset,
     EntropyOracle,
     VariableMeta,
+    _round_off,
     bernoulli_bias_for_entropy,
     binary_entropy_bits,
 )
@@ -338,12 +339,14 @@ class CompiledGadget:
         given = list(given)
         if target in given:
             raise ValidationError(f"target {target!r} also appears in the given set")
-        return self.oracle.conditional(self._index(target), self._mask(given))
+        joint = self.joint_entropy_bits([target] + given)
+        return _round_off(joint - self.joint_entropy_bits(given), "conditional entropy")
 
     def entropy_decrease_bits(self, target: str, given: Sequence[str]) -> float:
         """How much conditioning on ``given`` lowers the target's entropy."""
-        alone = self.oracle.h(1 << self._index(target))
-        return alone - self.conditional_entropy_bits(target, given)
+        return self.joint_entropy_bits([target]) - self.conditional_entropy_bits(
+            target, given
+        )
 
     # -- analytic targets and metadata -------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polytreelab.distribution as distribution_mod
 from polytreelab.cnf import bundled_formulas
 from polytreelab.distribution import (
     ENTROPY_CLAMP,
@@ -19,7 +20,7 @@ from polytreelab.distribution import (
     mutual_information,
 )
 from polytreelab.errors import NumericsError
-from polytreelab.gadget import GadgetParams, compile_cnf
+from polytreelab.gadget import CompiledGadget, GadgetParams, compile_cnf
 from polytreelab.structure import Structure, UnionFind, score
 
 
@@ -175,3 +176,31 @@ def test_gadget_conditionals_match_joint_differences():
         assert gadget.entropy_decrease_bits("X1", given_nodes) == (
             gadget.joint_entropy_bits(["X1"]) - expected
         )
+
+
+def test_public_conditionals_take_set_entropies_through_the_public_entry_points(monkeypatch):
+    # A wrapper rebound over ``entropy`` or ``joint_entropy_bits`` (as a
+    # profiler does) sees every set entropy behind the public conditionals.
+    asked = []
+
+    def counting(original):
+        def wrapper(*args):
+            asked.append(args[-1])
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(distribution_mod, "entropy", counting(entropy))
+    rng = np.random.default_rng(5)
+    table = rng.exponential(size=(2, 2, 3))
+    dist = _dist(table / table.sum())
+    conditional_entropy(dist, 0, [2, 1])
+    mutual_information(dist, 2, 0)
+    assert asked == [(0, 2, 1), (2, 1), (0,), (2,), (0, 2)]
+
+    gadget = _gadget("single_variable", False)
+    asked.clear()
+    joint = counting(CompiledGadget.joint_entropy_bits)
+    monkeypatch.setattr(CompiledGadget, "joint_entropy_bits", joint)
+    gadget.entropy_decrease_bits("X1", ("R1",))
+    assert asked == [["X1"], ["X1", "R1"], ["R1"]]
