@@ -36,6 +36,7 @@ from .distribution import (
 from .errors import (
     CapExceededError,
     FormatError,
+    InvariantError,
     MultiSinkError,
     NumericsError,
     ToolkitError,
@@ -75,6 +76,7 @@ __all__ = [
     "FormatError",
     "GadgetAudit",
     "GadgetParams",
+    "InvariantError",
     "MultiSinkError",
     "NumericsError",
     "SearchReport",

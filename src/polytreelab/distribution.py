@@ -18,7 +18,7 @@ exact enumeration is the whole point. Every entropy query goes through one
 memoised ``EntropyOracle`` per data source (``Distribution.oracle`` here,
 ``CompiledGadget.oracle`` for the gadget), keyed by variable bitmask. It
 holds the single round-off rule: a value at most ``ENTROPY_CLAMP`` below
-zero reads 0.0, anything lower raises ``NumericsError``.
+zero, -0.0 included, reads +0.0; anything lower raises ``NumericsError``.
 
 Dataset CSV bodies are parsed by ``np.loadtxt``; any body it rejects, or
 reads with another column count, is parsed again by the row loop, which is
@@ -49,8 +49,9 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _round_off(value: float, quantity: str) -> float:
-    """``value`` with float round-off below zero taken out (see ``ENTROPY_CLAMP``)."""
-    if value < 0.0:
+    """``value`` with float round-off at or below zero read as +0.0 (see
+    ``ENTROPY_CLAMP``), so a deterministic variable never reports -0.0."""
+    if value <= 0.0:
         if value >= -ENTROPY_CLAMP:
             return 0.0
         raise NumericsError(f"{quantity} came out {value}, beyond float round-off")
@@ -93,7 +94,7 @@ class VariableMeta:
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
-            raise ValidationError("variable name must be a non-empty string")
+            raise ValidationError(f"variable name must be a non-empty string, got {self.name!r}")
         if isinstance(self.arity, bool) or not isinstance(self.arity, int) or self.arity < 1:
             raise ValidationError(
                 f"variable {self.name!r}: arity must be an integer >= 1, got {self.arity!r}"
@@ -458,11 +459,13 @@ def read_distribution_json(path: str, *, max_states: int = DEFAULT_STATE_CAP) ->
         raise FormatError(f"{path}: expected keys 'variables' and 'probabilities'")
     try:
         metas = [
-            VariableMeta(str(v["name"]), _json_arity(path, v["name"], v["arity"]))
+            VariableMeta(v["name"], _json_arity(path, v["name"], v["arity"]))
             for v in raw["variables"]
         ]
     except (TypeError, KeyError) as exc:
         raise FormatError(f"{path}: malformed variable entry ({exc})") from None
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     probs = raw["probabilities"]
     if not isinstance(probs, list):
         raise FormatError(f"{path}: 'probabilities' must be a flat list")

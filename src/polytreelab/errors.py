@@ -33,6 +33,12 @@ class NumericsError(ToolkitError):
     came out more negative than float round-off can explain)."""
 
 
+class InvariantError(ToolkitError):
+    """A search produced a structure outside the class it searches (for
+    example local search leaving the k-polytrees); a bug, reported rather
+    than returned."""
+
+
 class MultiSinkError(ToolkitError):
     """A charge audit was asked to run on a polytree with a multi-sink
     component; the audit refuses rather than rewiring the structure."""

@@ -1,15 +1,21 @@
 """Exact and heuristic search for low-cost polytrees.
 
 ``exact_optimal_polytree`` enumerates every polytree (optionally with an
-indegree bound ``k``) and returns a global minimizer of the score. The walk
-is: every acyclic subset of the n(n-1)/2 undirected edges, discovered in
-increasing edge-count order with union-find rejection of cycles, then every
-orientation of each forest via a Gray-code sweep that touches one edge per
-step. Candidates violating the indegree bound are skipped. Ties are broken
-toward the lexicographically smallest parent-set encoding, so results are
-deterministic, including under ``jobs > 1`` (the edge-subset space is
-partitioned by the smallest included edge and partial results are merged in
-a fixed order).
+indegree bound ``k``) and returns a global minimizer of the score. Forests
+are every acyclic subset of the n(n-1)/2 undirected edges, discovered depth
+first in increasing edge-index order with union-find rejection of cycles.
+Their orientations are scored in numpy batches (``_ForestScorer``): the
+conditional ``cond[v, parent_mask]`` of every node and parent set is read
+from the oracle once per search, one integer matmul gives the parent masks
+of every orientation in a batch, orientations violating the indegree bound
+are dropped by a popcount lookup, and each total adds the node terms left to
+right in node order, the same float additions as Python 3.11's
+``sum(terms)``. The result is the minimum of (total, parent-set encoding),
+with ties broken toward the lexicographically smallest encoding; that
+minimum does not depend on visit order, so each batch offers only its rows
+at the batch minimum, and results are deterministic under ``jobs > 1`` (the
+edge-subset space is partitioned by the smallest included edge and partial
+results are merged in a fixed order).
 
 ``local_search_polytree`` is a steepest-descent heuristic over the moves
 add / remove / reverse / swap; it never worsens its seed but can stall at
@@ -25,12 +31,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
+import numpy as np
+
 from .branching import learn_optimal_branching
 from .distribution import Distribution, EntropyOracle
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, InvariantError, ValidationError
 from .structure import Structure, UnionFind, is_polytree, max_indegree, score
 
 EXACT_MAX_NODES = 7
+# Orientations per numpy scoring batch; larger batches buy little speed and
+# raise peak memory.
+BATCH_ROWS = 2048
 # Score differences at or below these thresholds count as "no improvement"
 # and "optimal is zero" respectively.
 LOCAL_IMPROVEMENT_EPS = 1e-9
@@ -91,85 +102,126 @@ class _Best:
             self.parents = other.parents
 
 
-def _scan_orientations(
-    edges: list[tuple[int, int]],
-    oracle: EntropyOracle,
-    k: int,
-    n: int,
-    best: _Best,
-) -> int:
-    """Score every orientation of a fixed forest via a Gray-code walk.
+def _conditional_table(oracle: EntropyOracle, n: int) -> np.ndarray:
+    """``cond[v, mask]`` for every ``v`` not in ``mask``; NaN where ``v`` is.
 
-    Bit j clear means edge j runs a -> b (parent a); set means b -> a. One
-    edge flips between consecutive visits, so parent masks, indegrees, and
-    per-node score terms are patched in O(1) per step. Returns the number of
-    orientations that satisfied the indegree bound and were scored.
+    These are exactly the conditionals the orientations of all forests reach:
+    the star on ``mask ∪ {v}`` with every edge pointing into ``v`` asks for
+    ``(v, mask)``.
     """
-    e = len(edges)
-    parent_mask = [0] * n
-    indegree = [0] * n
-    for a, b in edges:
-        parent_mask[b] |= 1 << a
-        indegree[b] += 1
-    terms = [oracle.conditional(v, parent_mask[v]) for v in range(n)]
-    violations = sum(1 for v in range(n) if indegree[v] > k)
-    scored = 0
-    if violations == 0:
-        scored += 1
-        best.offer(sum(terms), parent_mask, n)
-    direction = 0
-    for step in range(1, 1 << e):
-        j = (step & -step).bit_length() - 1
-        a, b = edges[j]
-        if direction >> j & 1:
-            # b -> a reverts to a -> b
-            gains, loses = b, a
-        else:
-            gains, loses = a, b
-        direction ^= 1 << j
-        parent_mask[loses] &= ~(1 << gains)
-        d = indegree[loses]
-        indegree[loses] = d - 1
-        violations += (1 if d - 1 > k else 0) - (1 if d > k else 0)
-        parent_mask[gains] |= 1 << loses
-        d = indegree[gains]
-        indegree[gains] = d + 1
-        violations += (1 if d + 1 > k else 0) - (1 if d > k else 0)
-        terms[loses] = oracle.conditional(loses, parent_mask[loses])
-        terms[gains] = oracle.conditional(gains, parent_mask[gains])
-        if violations == 0:
-            scored += 1
-            best.offer(sum(terms), parent_mask, n)
-    return scored
+    cond = np.full((n, 1 << n), np.nan)
+    for v in range(n):
+        for mask in range(1 << n):
+            if not mask >> v & 1:
+                cond[v, mask] = oracle.conditional(v, mask)
+    return cond
 
 
-def _enumerate_with_first_edge(dist: Distribution, k: int, first: int) -> tuple[int, _Best]:
+def _orientation_template(e: int) -> np.ndarray:
+    """``(2e, 2^e)`` 0/1 matrix: row ``j`` is set where orientation bit ``j`` is
+    clear (edge ``j`` runs a -> b), row ``e + j`` where it is set (b -> a)."""
+    bits = np.arange(1 << e) >> np.arange(e)[:, None] & 1
+    return np.concatenate((1 - bits, bits))
+
+
+class _ForestScorer:
+    """Scores every orientation of buffered forests in numpy batches.
+
+    A forest is a tuple of pair indices into ``_all_pairs(n)``. Forests wait
+    in one buffer per edge count ``e`` until the buffer holds about
+    ``BATCH_ROWS`` orientations. For a batch of ``F`` forests, the parent
+    masks of all ``F * 2^e`` orientations come from one integer matmul of the
+    per-forest weights (node ``b`` gains ``2^a`` when pair ``(a, b)`` runs
+    a -> b, node ``a`` gains ``2^b`` otherwise) with the orientation
+    template; the bits are disjoint, so the sum is the OR.
+    """
+
+    def __init__(self, cond: np.ndarray, k: int, best: _Best) -> None:
+        n = cond.shape[0]
+        self.n = n
+        self.k = k
+        self.best = best
+        self.cond = cond
+        self.popcount = np.array([int.bit_count(m) for m in range(1 << n)])
+        # rank[mask] orders parent masks as _Best orders their index tuples.
+        self.rank = np.empty(1 << n, dtype=np.int64)
+        self.rank[sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])] = (
+            np.arange(1 << n)
+        )
+        pairs = _all_pairs(n)
+        # weights[v, p] (a -> b) and weights[v, len(pairs) + p] (b -> a).
+        self.weights = np.zeros((n, 2 * len(pairs)), dtype=np.int64)
+        for p, (a, b) in enumerate(pairs):
+            self.weights[b, p] = 1 << a
+            self.weights[a, len(pairs) + p] = 1 << b
+        self.n_pairs = len(pairs)
+        self.pending: dict[int, list[tuple[int, ...]]] = {}
+        self.scored = 0
+
+    def add(self, forest: tuple[int, ...]) -> None:
+        e = len(forest)
+        batch = self.pending.setdefault(e, [])
+        batch.append(forest)
+        if len(batch) << e >= BATCH_ROWS:
+            self._flush(e)
+
+    def finish(self) -> int:
+        for e in list(self.pending):
+            self._flush(e)
+        return self.scored
+
+    def _flush(self, e: int) -> None:
+        forests = np.array(self.pending.pop(e), dtype=np.int64)
+        n, rows = self.n, len(forests) << e
+        columns = np.concatenate((forests, forests + self.n_pairs), axis=1)
+        w = self.weights[:, columns].reshape(n * len(forests), 2 * e)
+        masks = (w @ _orientation_template(e)).reshape(n, rows)
+        ok = self.popcount[masks].max(axis=0) <= self.k
+        count = int(np.count_nonzero(ok))
+        if not count:
+            return
+        self.scored += count
+        terms = self.cond[np.arange(n)[:, None], masks]
+        # Node order, left to right from 0.0: the additions of Python 3.11's
+        # sum(terms), so totals and their ties match the scalar walk exactly.
+        total = terms[0] + 0.0
+        for v in range(1, n):
+            total += terms[v]
+        total[~ok] = np.inf
+        low = float(total.min())
+        if low <= self.best.score:
+            tied = np.flatnonzero(total == low)
+            # The smallest encoding among the tied rows: lexsort's last key,
+            # node 0, is its primary one.
+            row = tied[np.lexsort(self.rank[masks[::-1, tied]])[0]]
+            self.best.offer(low, masks[:, row].tolist(), n)
+
+
+def _enumerate_with_first_edge(cond: np.ndarray, k: int, first: int) -> tuple[int, _Best]:
     """Walk every forest whose smallest included edge index equals ``first``."""
-    n = dist.n
+    n = cond.shape[0]
     pairs = _all_pairs(n)
-    oracle = dist.oracle
     best = _Best()
+    scorer = _ForestScorer(cond, k, best)
     uf = UnionFind(n)
-    chosen: list[tuple[int, int]] = []
-    counter = 0
+    chosen: list[int] = []
 
     def extend(next_index: int) -> None:
-        nonlocal counter
-        counter += _scan_orientations(chosen, oracle, k, n, best)
+        scorer.add(tuple(chosen))
         for idx in range(next_index, len(pairs)):
             a, b = pairs[idx]
             record = uf.union(a, b)
             if record is None:
                 continue
-            chosen.append((a, b))
+            chosen.append(idx)
             extend(idx + 1)
             chosen.pop()
             uf.undo(record)
 
     uf.union(*pairs[first])
-    chosen.append(pairs[first])
+    chosen.append(first)
     extend(first + 1)
-    return counter, best
+    return scorer.finish(), best
 
 
 def exact_optimal_polytree(
@@ -202,25 +254,25 @@ def exact_optimal_polytree(
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
 
     pairs = _all_pairs(n)
+    cond = _conditional_table(dist.oracle, n)
     best = _Best()
     # The empty forest is every task's common ancestor; score it once here.
-    empty_masks = [0] * n
-    best.offer(sum(dist.oracle.conditional(v, 0) for v in range(n)), empty_masks, n)
-    enumerated = 1
+    root = _ForestScorer(cond, k_eff, best)
+    root.add(())
+    enumerated = root.finish()
 
     tasks = range(len(pairs))
     if jobs == 1 or len(tasks) <= 1:
-        results = [_enumerate_with_first_edge(dist, k_eff, first) for first in tasks]
+        results = [_enumerate_with_first_edge(cond, k_eff, first) for first in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_enumerate_with_first_edge, repeat(dist), repeat(k_eff), tasks))
+            results = list(pool.map(_enumerate_with_first_edge, repeat(cond), repeat(k_eff), tasks))
     for counter, partial in results:
         enumerated += counter
         best.merge(partial)
 
     assert best.parents is not None
-    parents = [tuple(i for i in range(n) if best.parents[v] >> i & 1) for v in range(n)]
-    structure = Structure(n, parents)
+    structure = _structure_of(list(best.parents))
     branching = learn_optimal_branching(dist)
     branching_bits = score(dist, branching).total_bits
     return _finish_report(structure, best.score, branching_bits, enumerated)
@@ -252,6 +304,23 @@ def _components_without_edge(
         if edge != skip:
             uf.union(edge[0], edge[1])
     return [uf.find(v) for v in range(n)]
+
+
+def _structure_of(parent_masks: list[int]) -> Structure:
+    n = len(parent_masks)
+    return Structure(n, [tuple(i for i in range(n) if m >> i & 1) for m in parent_masks])
+
+
+def _check_k_polytree(structure: Structure, k: int) -> None:
+    """Raise ``InvariantError`` unless ``structure`` is a polytree with indegree <= ``k``.
+
+    Local search applies only moves that keep this invariant; the check runs
+    after every move, also under ``python -O``.
+    """
+    if not is_polytree(structure) or max_indegree(structure) > k:
+        raise InvariantError(
+            f"local search left the {k}-polytrees: parents {[sorted(ps) for ps in structure.parents]}"
+        )
 
 
 def local_search_polytree(
@@ -359,15 +428,9 @@ def local_search_polytree(
             parent_masks[v] = mask
             terms[v] = oracle.conditional(v, mask)
         applied += 1
-        # Every accepted move must preserve the search invariant.
-        snapshot = Structure(
-            n, [tuple(i for i in range(n) if parent_masks[v] >> i & 1) for v in range(n)]
-        )
-        assert is_polytree(snapshot) and max_indegree(snapshot) <= k
+        _check_k_polytree(_structure_of(parent_masks), k)
 
-    structure = Structure(
-        n, [tuple(i for i in range(n) if parent_masks[v] >> i & 1) for v in range(n)]
-    )
+    structure = _structure_of(parent_masks)
     best_bits = score(dist, structure).total_bits
     branching = learn_optimal_branching(dist)
     branching_bits = score(dist, branching).total_bits

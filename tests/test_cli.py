@@ -1,6 +1,7 @@
 """Command-line surface: reports, artifacts, exit codes, determinism."""
 
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -115,6 +116,17 @@ class TestLearnBranching:
         assert doc["kind"] == "error"
         doc = run_json(["learn-branching"], expect_exit=1)
         assert doc["kind"] == "error"
+
+    def test_deterministic_variable_reports_positive_zero(self, tmp_path):
+        path = tmp_path / "constant.json"
+        path.write_text(
+            '{"variables": [{"name": "A", "arity": 1}, {"name": "B", "arity": 2}],'
+            ' "probabilities": [0.25, 0.75]}'
+        )
+        result = run(["learn-branching", "--dist", str(path)])
+        assert "-0.0" not in result.output
+        per_node = json.loads(result.output)["score"]["per_node"]
+        assert math.copysign(1.0, per_node[0]["h_bits"]) == 1.0
 
     def test_missing_file_reports_structured_error(self, workdir):
         doc = run_json(

@@ -294,6 +294,15 @@ class TestFileFormats:
         with pytest.raises(FormatError, match="arity for 'A' must be an integer >= 1"):
             read_distribution_json(str(path))
 
+    @pytest.mark.parametrize("name", ["null", "7", '""'])
+    def test_distribution_json_rejects_non_string_or_empty_name(self, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"variables": [{"name": %s, "arity": 2}], "probabilities": [0.5, 0.5]}' % name
+        )
+        with pytest.raises(FormatError, match="variable name must be a non-empty string"):
+            read_distribution_json(str(path))
+
     def test_distribution_json_round_trip(self, tmp_path):
         dist = random_distribution([2, 3], seed=5)
         path = str(tmp_path / "dist.json")

@@ -1,6 +1,7 @@
 """The one memoised entropy oracle, its round-off rule, and the undoable union-find."""
 
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -119,6 +120,9 @@ def test_round_off_rule_is_shared_by_set_entropies_and_conditionals():
     oracle = EntropyOracle({0b11: 0.5 - 1e-9, 0b10: 0.5}.__getitem__)
     with pytest.raises(NumericsError, match="conditional entropy came out"):
         oracle.conditional(0, 0b10)
+    # A deterministic variable's -0.0 and the clamp's edge both read +0.0.
+    oracle = EntropyOracle({0b01: -0.0, 0b10: -ENTROPY_CLAMP}.__getitem__)
+    assert [math.copysign(1.0, oracle.h(m)) for m in (0b01, 0b10)] == [1.0, 1.0]
 
 
 def test_entropy_queries_agree_through_every_entry_point():

@@ -1,0 +1,148 @@
+"""The batched orientation scorer of the exact search against the scalar
+Gray-code walk it replaced, kept here as the reference."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from polytreelab.distribution import Distribution, EntropyOracle, VariableMeta
+from polytreelab.generators import (
+    parity_fixture,
+    random_joint_distribution,
+    random_polytree_instance,
+    xor_tree_family,
+)
+from polytreelab.search import _all_pairs, _Best, exact_optimal_polytree
+from polytreelab.structure import Structure, UnionFind
+
+KS = (None, 0, 1, 2, 3)
+
+
+def _node_ordered_sum(terms: list[float]) -> float:
+    # Python 3.11's sum() of floats: 0.0 plus each term, left to right.
+    # From 3.12 on sum() compensates round-off, so spell it out.
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def _scan_orientations(
+    edges: list[tuple[int, int]],
+    oracle: EntropyOracle,
+    k: int,
+    n: int,
+    best: _Best,
+) -> int:
+    """Score every orientation of a fixed forest via a Gray-code walk.
+
+    Bit j clear means edge j runs a -> b (parent a); set means b -> a. One
+    edge flips between consecutive visits, so parent masks, indegrees, and
+    per-node score terms are patched in O(1) per step. Returns the number of
+    orientations that satisfied the indegree bound and were scored.
+    """
+    e = len(edges)
+    parent_mask = [0] * n
+    indegree = [0] * n
+    for a, b in edges:
+        parent_mask[b] |= 1 << a
+        indegree[b] += 1
+    terms = [oracle.conditional(v, parent_mask[v]) for v in range(n)]
+    violations = sum(1 for v in range(n) if indegree[v] > k)
+    scored = 0
+    if violations == 0:
+        scored += 1
+        best.offer(_node_ordered_sum(terms), parent_mask, n)
+    direction = 0
+    for step in range(1, 1 << e):
+        j = (step & -step).bit_length() - 1
+        a, b = edges[j]
+        if direction >> j & 1:
+            # b -> a reverts to a -> b
+            gains, loses = b, a
+        else:
+            gains, loses = a, b
+        direction ^= 1 << j
+        parent_mask[loses] &= ~(1 << gains)
+        d = indegree[loses]
+        indegree[loses] = d - 1
+        violations += (1 if d - 1 > k else 0) - (1 if d > k else 0)
+        parent_mask[gains] |= 1 << loses
+        d = indegree[gains]
+        indegree[gains] = d + 1
+        violations += (1 if d + 1 > k else 0) - (1 if d > k else 0)
+        terms[loses] = oracle.conditional(loses, parent_mask[loses])
+        terms[gains] = oracle.conditional(gains, parent_mask[gains])
+        if violations == 0:
+            scored += 1
+            best.offer(_node_ordered_sum(terms), parent_mask, n)
+    return scored
+
+
+def reference_exact(dist: Distribution, k: int | None) -> tuple[Structure, float, int]:
+    """Best structure, its score and the orientations scored, by the scalar walk
+    over every acyclic edge subset."""
+    n = dist.n
+    k_eff = n - 1 if k is None else min(k, n - 1)
+    best = _Best()
+    scored = 0
+    pairs = _all_pairs(n)
+    for e in range(n):
+        for edges in combinations(pairs, e):
+            uf = UnionFind(n)
+            if all(uf.union(a, b) is not None for a, b in edges):
+                scored += _scan_orientations(list(edges), dist.oracle, k_eff, n, best)
+    parents = [[i for i in range(n) if best.parents[v] >> i & 1] for v in range(n)]
+    return Structure(n, parents), best.score, scored
+
+
+def _binary(table: np.ndarray) -> Distribution:
+    return Distribution([VariableMeta(f"X{i}", 2) for i in range(table.ndim)], table)
+
+
+def _copies(n: int) -> Distribution:
+    """X_i = X_0 for every i: every spanning tree with one root ties."""
+    table = np.zeros((2,) * n)
+    table[(0,) * n] = table[(1,) * n] = 0.5
+    return _binary(table)
+
+
+def _uniform(n: int) -> Distribution:
+    """Every orientation of every forest ties."""
+    return _binary(np.full((2,) * n, 0.5**n))
+
+
+JOINTS = {
+    "parity2": lambda: parity_fixture("parity2")[0],
+    "parity3": lambda: parity_fixture("parity3")[0],
+    "xor-tree-d1": lambda: xor_tree_family(1, 0.1)[0],
+    "copies3": lambda: _copies(3),
+    "copies5": lambda: _copies(5),
+    "copies6": lambda: _copies(6),
+    "uniform4": lambda: _uniform(4),
+    "uniform5": lambda: _uniform(5),
+    "random5": lambda: random_joint_distribution([2, 3, 2, 4, 2], seed=5),
+    "random6": lambda: random_joint_distribution([2, 2, 3, 2, 2, 2], seed=6),
+    "polytree6": lambda: random_polytree_instance(6, 2, 2, seed=2)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOINTS))
+def test_batched_scorer_equals_the_scalar_walk(name):
+    dist = JOINTS[name]()
+    for k in KS:
+        report = exact_optimal_polytree(dist, k)
+        best, best_bits, scored = reference_exact(dist, k)
+        assert report.best == best, k
+        assert report.best_score_bits == best_bits, k
+        assert type(report.best_score_bits) is float
+        assert report.instances_enumerated == scored, k
+
+
+def test_two_jobs_equal_one_under_many_ties():
+    dist = _copies(6)
+    for k in (None, 2):
+        one = exact_optimal_polytree(dist, k, jobs=1)
+        two = exact_optimal_polytree(dist, k, jobs=2)
+        assert two == one

@@ -5,7 +5,7 @@ import pytest
 
 from polytreelab.branching import brute_force_branching, learn_optimal_branching
 from polytreelab.distribution import Distribution, VariableMeta
-from polytreelab.errors import CapExceededError, ValidationError
+from polytreelab.errors import CapExceededError, InvariantError, ValidationError
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -13,6 +13,7 @@ from polytreelab.generators import (
 )
 from polytreelab.search import (
     EXACT_MAX_NODES,
+    _check_k_polytree,
     exact_optimal_polytree,
     local_search_polytree,
 )
@@ -155,3 +156,13 @@ class TestLocalSearch:
             if abs(got - exact) <= 1e-9:
                 hits += 1
         assert hits >= total // 2
+
+
+def test_k_polytree_check_raises_a_structured_error():
+    _check_k_polytree(Structure(3, [(), (0,), (0,)]), 1)
+    for structure, k in (
+        (Structure(3, [(), (0,), (0, 1)]), 2),  # undirected cycle 0-1-2
+        (Structure(3, [(), (), (0, 1)]), 1),  # indegree 2 > 1
+    ):
+        with pytest.raises(InvariantError, match=f"left the {k}-polytrees"):
+            _check_k_polytree(structure, k)

@@ -1,0 +1,41 @@
+"""Hypothesis properties of mutual information and of the three learners."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polytreelab.distribution import mutual_information
+from polytreelab.generators import random_joint_distribution
+from polytreelab.search import exact_optimal_polytree, local_search_polytree
+
+
+def joints(min_n, max_n):
+    return st.builds(
+        random_joint_distribution,
+        st.lists(st.integers(2, 3), min_size=min_n, max_size=max_n),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(joints(2, 6), st.data())
+def test_mutual_information_is_symmetric_and_non_negative(dist, data):
+    a = data.draw(st.integers(0, dist.n - 1))
+    b = data.draw(st.integers(0, dist.n - 1).filter(lambda v: v != a))
+    mi = mutual_information(dist, a, b)
+    assert mi == mutual_information(dist, b, a)
+    assert mi >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(joints(2, 5), st.sampled_from([1, 2]))
+def test_exact_at_most_local_at_most_branching(dist, k):
+    exact = exact_optimal_polytree(dist, k)
+    local = local_search_polytree(dist, k)
+    assert exact.best_score_bits <= local.best_score_bits <= local.branching_score_bits
+    assert exact.branching_score_bits == local.branching_score_bits
+
+
+@settings(max_examples=8, deadline=None)
+@given(joints(2, 6), st.sampled_from([None, 1, 2]))
+def test_exact_search_is_the_same_under_two_jobs(dist, k):
+    assert exact_optimal_polytree(dist, k, jobs=2) == exact_optimal_polytree(dist, k, jobs=1)
