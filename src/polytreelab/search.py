@@ -144,10 +144,9 @@ class _ForestScorer:
         self.cond = cond
         self.popcount = np.array([int.bit_count(m) for m in range(1 << n)])
         # rank[mask] orders parent masks as _Best orders their index tuples.
+        order = sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
         self.rank = np.empty(1 << n, dtype=np.int64)
-        self.rank[sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])] = (
-            np.arange(1 << n)
-        )
+        self.rank[order] = np.arange(1 << n)
         pairs = _all_pairs(n)
         # weights[v, p] (a -> b) and weights[v, len(pairs) + p] (b -> a).
         self.weights = np.zeros((n, 2 * len(pairs)), dtype=np.int64)
@@ -318,9 +317,8 @@ def _check_k_polytree(structure: Structure, k: int) -> None:
     after every move, also under ``python -O``.
     """
     if not is_polytree(structure) or max_indegree(structure) > k:
-        raise InvariantError(
-            f"local search left the {k}-polytrees: parents {[sorted(ps) for ps in structure.parents]}"
-        )
+        parents = [sorted(ps) for ps in structure.parents]
+        raise InvariantError(f"local search left the {k}-polytrees: parents {parents}")
 
 
 def local_search_polytree(
