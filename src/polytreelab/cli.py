@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -129,8 +128,12 @@ def _write_structure_artifact(
         structure_mod.write_structure_json(structure, names, out)
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
+_jobs_option = click.option(
+    "--jobs",
+    type=int,
+    default=1,
+    help="Accepted for compatibility (must be >= 1); the search runs in one process.",
+)
 
 
 @click.group()
@@ -170,7 +173,7 @@ def learn_branching_cmd(dist_path, data_path, arities_path, max_states, out, fmt
     default=search_mod.EXACT_MAX_NODES,
     help="Refuse exhaustive search above this many variables.",
 )
-@click.option("--jobs", type=int, default=None, help="Worker processes (default: cores).")
+@_jobs_option
 @click.option("--out", type=click.Path(), default=None, help="Structure artifact path.")
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json")
 @_guarded
@@ -179,9 +182,7 @@ def exact_polytree_cmd(
 ):
     """Exhaustively find a score-optimal (k-)polytree."""
     dist = _load_distribution(dist_path, data_path, arities_path, max_states)
-    report = search_mod.exact_optimal_polytree(
-        dist, k, max_nodes=exact_cap, jobs=jobs if jobs else _default_jobs()
-    )
+    report = search_mod.exact_optimal_polytree(dist, k, max_nodes=exact_cap, jobs=jobs)
     names = list(dist.names)
     doc = reports.search_report_dict(
         "exact-polytree",
@@ -258,14 +259,12 @@ def score_cmd(dist_path, data_path, arities_path, max_states, structure_path):
 @_dist_options
 @click.option("--k", type=int, default=None, help="Parent bound (default: unbounded).")
 @click.option("--exact-cap", type=int, default=search_mod.EXACT_MAX_NODES)
-@click.option("--jobs", type=int, default=None, help="Worker processes (default: cores).")
+@_jobs_option
 @_guarded
 def ratio_cmd(dist_path, data_path, arities_path, max_states, k, exact_cap, jobs):
     """Best-branching score over best-polytree score."""
     dist = _load_distribution(dist_path, data_path, arities_path, max_states)
-    report = search_mod.exact_optimal_polytree(
-        dist, k, max_nodes=exact_cap, jobs=jobs if jobs else _default_jobs()
-    )
+    report = search_mod.exact_optimal_polytree(dist, k, max_nodes=exact_cap, jobs=jobs)
     reports.write_report(
         {
             "kind": "ratio",
@@ -282,7 +281,7 @@ def ratio_cmd(dist_path, data_path, arities_path, max_states, k, exact_cap, jobs
 @_dist_options
 @click.option("--k", type=int, default=None, help="Parent bound for the oracle search.")
 @click.option("--exact-cap", type=int, default=search_mod.EXACT_MAX_NODES)
-@click.option("--jobs", type=int, default=None, help="Worker processes (default: cores).")
+@_jobs_option
 @click.option(
     "--tolerance",
     type=float,
@@ -299,9 +298,7 @@ def verify_bounds_cmd(
     """
     dist = _load_distribution(dist_path, data_path, arities_path, max_states)
     branching = branching_mod.learn_optimal_branching(dist)
-    search = search_mod.exact_optimal_polytree(
-        dist, k, max_nodes=exact_cap, jobs=jobs if jobs else _default_jobs()
-    )
+    search = search_mod.exact_optimal_polytree(dist, k, max_nodes=exact_cap, jobs=jobs)
     report = bounds_mod.verify_bounds(
         dist, search.best, branching, tolerance_bits=tolerance
     )

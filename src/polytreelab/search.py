@@ -2,34 +2,34 @@
 
 ``exact_optimal_polytree`` enumerates every polytree (optionally with an
 indegree bound ``k``) and returns a global minimizer of the score. Forests
-are every acyclic subset of the n(n-1)/2 undirected edges, discovered depth
-first in increasing edge-index order with union-find rejection of cycles.
-Their orientations are scored in numpy batches (``_ForestScorer``): the
-conditional ``cond[v, parent_mask]`` of every node and parent set is read
-from the oracle once per search, one integer matmul gives the parent masks
-of every orientation in a batch, orientations violating the indegree bound
-are dropped by a popcount lookup, and each total adds the node terms left to
+are every acyclic subset of the n(n-1)/2 undirected edges, grown in numpy one
+edge count at a time (``_forest_levels``): the forests with ``e + 1`` edges
+come from those with ``e`` by adding a pair of larger index whose ends lie
+in different components. Each level's orientations are scored in chunks of
+``BATCH_ROWS``: the conditional ``cond[v, parent_mask]`` of every node and
+parent set within the bound is read from the oracle once per search into a
+table whose cells beyond the bound are ``+inf``, one float matmul of
+per-forest weights with the level's orientation template gives the parent
+masks, one ``take`` gathers the terms, and each total adds them left to
 right in node order, the same float additions as Python 3.11's
-``sum(terms)``. The result is the minimum of (total, parent-set encoding),
-with ties broken toward the lexicographically smallest encoding; that
-minimum does not depend on visit order, so each batch offers only its rows
-at the batch minimum, and results are deterministic under ``jobs > 1`` (the
-edge-subset space is partitioned by the smallest included edge and partial
-results are merged in a fixed order).
+``sum(terms)``; an orientation is within the bound exactly when its total
+is finite. The result is the minimum of (total, parent-set encoding), with
+ties broken toward the lexicographically smallest encoding; that minimum
+does not depend on visit order, so each chunk offers only its rows at the
+chunk minimum. The search runs in one process; beyond the table, its memory
+is the arrays of one chunk plus the 8-bit forests and component labels of
+the level being scored and of the next one while it grows.
 
 ``local_search_polytree`` is a steepest-descent heuristic over the moves
 add / remove / reverse / swap; it never worsens its seed but can stall at
 local minima (parity-style distributions defeat it by design).
 
-Both searches read their score terms from ``dist.oracle.conditional``, so
-one memo serves every first-edge task run in a process.
+Both searches read their score terms from ``dist.oracle.conditional``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .errors import CapExceededError, InvariantError, ValidationError
 from .structure import Structure, UnionFind, is_polytree, max_indegree, score
 
 EXACT_MAX_NODES = 7
-# Orientations per numpy scoring batch; larger batches buy little speed and
-# raise peak memory.
+# Orientations per numpy scoring chunk, and parent forests per growth step;
+# larger chunks buy no speed and raise peak memory.
 BATCH_ROWS = 2048
 # Score differences at or below these thresholds count as "no improvement"
 # and "optimal is zero" respectively.
@@ -91,136 +91,66 @@ class _Best:
             self.key = key
             self.parents = tuple(parent_masks)
 
-    def merge(self, other: "_Best") -> None:
-        if other.key is None:
-            return
-        if other.score < self.score or (
-            other.score == self.score and self.key is not None and other.key < self.key
-        ):
-            self.score = other.score
-            self.key = other.key
-            self.parents = other.parents
 
+def _conditional_table(oracle: EntropyOracle, n: int, k: int) -> np.ndarray:
+    """``cond[v, mask]`` for every ``v`` not in ``mask`` with at most ``k``
+    parents, ``+inf`` for larger masks, NaN where ``v`` is in ``mask``.
 
-def _conditional_table(oracle: EntropyOracle, n: int) -> np.ndarray:
-    """``cond[v, mask]`` for every ``v`` not in ``mask``; NaN where ``v`` is.
-
-    These are exactly the conditionals the orientations of all forests reach:
-    the star on ``mask ∪ {v}`` with every edge pointing into ``v`` asks for
-    ``(v, mask)``.
+    The finite cells are exactly the conditionals the orientations of all
+    forests reach within the bound: the star on ``mask ∪ {v}`` with every
+    edge pointing into ``v`` asks for ``(v, mask)``. An orientation that
+    breaks the bound thus totals ``+inf``, and the oracle is never asked for
+    a conditional beyond it.
     """
     cond = np.full((n, 1 << n), np.nan)
     for v in range(n):
         for mask in range(1 << n):
             if not mask >> v & 1:
-                cond[v, mask] = oracle.conditional(v, mask)
+                cond[v, mask] = oracle.conditional(v, mask) if mask.bit_count() <= k else np.inf
     return cond
 
 
 def _orientation_template(e: int) -> np.ndarray:
-    """``(2e, 2^e)`` 0/1 matrix: row ``j`` is set where orientation bit ``j`` is
-    clear (edge ``j`` runs a -> b), row ``e + j`` where it is set (b -> a)."""
+    """``(2e, 2^e)`` float 0/1 matrix: row ``2j`` is set where orientation bit
+    ``j`` is clear (edge ``j`` runs a -> b), row ``2j + 1`` where it is set
+    (b -> a)."""
     bits = np.arange(1 << e) >> np.arange(e)[:, None] & 1
-    return np.concatenate((1 - bits, bits))
+    return np.stack((1 - bits, bits), axis=1).reshape(2 * e, 1 << e).astype(float)
 
 
-class _ForestScorer:
-    """Scores every orientation of buffered forests in numpy batches.
+def _forest_levels(n: int):
+    """Yield ``(e, chunks)`` for ``e = 0 .. n-1``: every forest with ``e``
+    edges, as rows of increasing pair indices into ``_all_pairs(n)``, in a
+    list of chunks.
 
-    A forest is a tuple of pair indices into ``_all_pairs(n)``. Forests wait
-    in one buffer per edge count ``e`` until the buffer holds about
-    ``BATCH_ROWS`` orientations. For a batch of ``F`` forests, the parent
-    masks of all ``F * 2^e`` orientations come from one integer matmul of the
-    per-forest weights (node ``b`` gains ``2^a`` when pair ``(a, b)`` runs
-    a -> b, node ``a`` gains ``2^b`` otherwise) with the orientation
-    template; the bits are disjoint, so the sum is the OR.
+    Level ``e + 1`` grows from level ``e`` in chunks of ``BATCH_ROWS``
+    parents: a row gains each pair of larger index than its last edge whose
+    ends carry different component labels, and the two labels merge. So
+    every forest is made once, from its ``e`` smallest edges.
     """
-
-    def __init__(self, cond: np.ndarray, k: int, best: _Best) -> None:
-        n = cond.shape[0]
-        self.n = n
-        self.k = k
-        self.best = best
-        self.cond = cond
-        self.popcount = np.array([int.bit_count(m) for m in range(1 << n)])
-        # rank[mask] orders parent masks as _Best orders their index tuples.
-        order = sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
-        self.rank = np.empty(1 << n, dtype=np.int64)
-        self.rank[order] = np.arange(1 << n)
-        pairs = _all_pairs(n)
-        # weights[v, p] (a -> b) and weights[v, len(pairs) + p] (b -> a).
-        self.weights = np.zeros((n, 2 * len(pairs)), dtype=np.int64)
-        for p, (a, b) in enumerate(pairs):
-            self.weights[b, p] = 1 << a
-            self.weights[a, len(pairs) + p] = 1 << b
-        self.n_pairs = len(pairs)
-        self.pending: dict[int, list[tuple[int, ...]]] = {}
-        self.scored = 0
-
-    def add(self, forest: tuple[int, ...]) -> None:
-        e = len(forest)
-        batch = self.pending.setdefault(e, [])
-        batch.append(forest)
-        if len(batch) << e >= BATCH_ROWS:
-            self._flush(e)
-
-    def finish(self) -> int:
-        for e in list(self.pending):
-            self._flush(e)
-        return self.scored
-
-    def _flush(self, e: int) -> None:
-        forests = np.array(self.pending.pop(e), dtype=np.int64)
-        n, rows = self.n, len(forests) << e
-        columns = np.concatenate((forests, forests + self.n_pairs), axis=1)
-        w = self.weights[:, columns].reshape(n * len(forests), 2 * e)
-        masks = (w @ _orientation_template(e)).reshape(n, rows)
-        ok = self.popcount[masks].max(axis=0) <= self.k
-        count = int(np.count_nonzero(ok))
-        if not count:
+    a, b = np.array(_all_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    index = np.arange(len(a))
+    dtype = np.min_scalar_type(max(len(a), n))
+    level = [(np.zeros((1, 0), dtype), np.arange(n, dtype=dtype)[None])]
+    for e in range(n):
+        yield e, [forests for forests, _ in level]
+        if e == n - 1:
             return
-        self.scored += count
-        terms = self.cond[np.arange(n)[:, None], masks]
-        # Node order, left to right from 0.0: the additions of Python 3.11's
-        # sum(terms), so totals and their ties match the scalar walk exactly.
-        total = terms[0] + 0.0
-        for v in range(1, n):
-            total += terms[v]
-        total[~ok] = np.inf
-        low = float(total.min())
-        if low <= self.best.score:
-            tied = np.flatnonzero(total == low)
-            # The smallest encoding among the tied rows: lexsort's last key,
-            # node 0, is its primary one.
-            row = tied[np.lexsort(self.rank[masks[::-1, tied]])[0]]
-            self.best.offer(low, masks[:, row].tolist(), n)
-
-
-def _enumerate_with_first_edge(cond: np.ndarray, k: int, first: int) -> tuple[int, _Best]:
-    """Walk every forest whose smallest included edge index equals ``first``."""
-    n = cond.shape[0]
-    pairs = _all_pairs(n)
-    best = _Best()
-    scorer = _ForestScorer(cond, k, best)
-    uf = UnionFind(n)
-    chosen: list[int] = []
-
-    def extend(next_index: int) -> None:
-        scorer.add(tuple(chosen))
-        for idx in range(next_index, len(pairs)):
-            a, b = pairs[idx]
-            record = uf.union(a, b)
-            if record is None:
-                continue
-            chosen.append(idx)
-            extend(idx + 1)
-            chosen.pop()
-            uf.undo(record)
-
-    uf.union(*pairs[first])
-    chosen.append(first)
-    extend(first + 1)
-    return scorer.finish(), best
+        grown = []
+        for forests, labels in level:
+            for s in range(0, len(forests), BATCH_ROWS):
+                f, lab = forests[s : s + BATCH_ROWS], labels[s : s + BATCH_ROWS]
+                last = f[:, -1].astype(np.intp) if e else np.full(len(f), -1)
+                rows, pair = np.nonzero((index > last[:, None]) & (lab[:, a] != lab[:, b]))
+                keep, drop = lab[rows, a[pair]][:, None], lab[rows, b[pair]][:, None]
+                merged = lab[rows]
+                grown.append(
+                    (
+                        np.concatenate((f[rows], pair[:, None].astype(dtype)), axis=1),
+                        np.where(merged == drop, keep, merged),
+                    )
+                )
+        level = grown
 
 
 def exact_optimal_polytree(
@@ -234,8 +164,9 @@ def exact_optimal_polytree(
     unbounded), found by exhaustive enumeration.
 
     Refuses more than ``max_nodes`` variables; raise the cap explicitly if
-    you accept the exponential running time. ``jobs`` only changes wall-clock
-    time, never the result.
+    you accept the exponential running time. ``jobs`` must be >= 1 and is
+    otherwise ignored: the search runs in one process. It is kept so that
+    callers passing it still work.
     """
     n = dist.n
     if n > max_nodes:
@@ -252,23 +183,46 @@ def exact_optimal_polytree(
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
 
-    pairs = _all_pairs(n)
-    cond = _conditional_table(dist.oracle, n)
+    flat = _conditional_table(dist.oracle, n, k_eff).ravel()
+    offsets = (np.arange(n) << n)[:, None]
+    # weights[v, p, 0]: node b gains 2^a when pair p = (a, b) runs a -> b;
+    # weights[v, p, 1]: node a gains 2^b when it runs b -> a.
+    weights = np.zeros((n, n * (n - 1) // 2, 2))
+    for p, (a, b) in enumerate(_all_pairs(n)):
+        weights[b, p, 0] = 1 << a
+        weights[a, p, 1] = 1 << b
+    # rank[mask] orders parent masks as _Best orders their index tuples.
+    order = sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
+    rank = np.empty(1 << n, dtype=np.int64)
+    rank[order] = np.arange(1 << n)
     best = _Best()
-    # The empty forest is every task's common ancestor; score it once here.
-    root = _ForestScorer(cond, k_eff, best)
-    root.add(())
-    enumerated = root.finish()
-
-    tasks = range(len(pairs))
-    if jobs == 1 or len(tasks) <= 1:
-        results = [_enumerate_with_first_edge(cond, k_eff, first) for first in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_enumerate_with_first_edge, repeat(cond), repeat(k_eff), tasks))
-    for counter, partial in results:
-        enumerated += counter
-        best.merge(partial)
+    enumerated = 0
+    for e, level in _forest_levels(n):
+        template = _orientation_template(e)
+        step = max(1, BATCH_ROWS >> e)
+        for chunk in level:
+            for s in range(0, len(chunk), step):
+                forests = chunk[s : s + step]
+                # The masks are sums of distinct powers of two below 2^n, so
+                # the float matmul is exact.
+                w = weights[:, forests].reshape(n * len(forests), 2 * e)
+                cells = (w @ template).reshape(n, len(forests) << e).astype(np.intp)
+                cells += offsets
+                terms = flat.take(cells)
+                # Node order, left to right from 0.0: the additions of Python
+                # 3.11's sum(terms), so totals and their ties match the scalar
+                # walk exactly.
+                total = terms[0] + 0.0
+                for v in range(1, n):
+                    total += terms[v]
+                enumerated += int(np.count_nonzero(total < np.inf))
+                low = float(total.min())
+                if low <= best.score:
+                    masks = cells[:, total == low] - offsets
+                    # The smallest encoding among the tied rows: lexsort's
+                    # last key, node 0, is its primary one.
+                    row = np.lexsort(rank[masks[::-1]])[0]
+                    best.offer(low, masks[:, row].tolist(), n)
 
     assert best.parents is not None
     structure = _structure_of(list(best.parents))

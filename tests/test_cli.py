@@ -7,6 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytreelab.cli import main
 from polytreelab.cnf import bundled_formulas, write_dimacs_file
@@ -17,7 +19,11 @@ from polytreelab.distribution import (
     read_distribution_json,
     write_distribution_json,
 )
-from polytreelab.generators import parity_fixture, random_polytree_instance
+from polytreelab.generators import (
+    parity_fixture,
+    random_joint_distribution,
+    random_polytree_instance,
+)
 from polytreelab.reports import report_schema
 from polytreelab.structure import (
     read_structure_dot,
@@ -196,6 +202,17 @@ class TestExactPolytreeAndRatio:
         one = run(args + ["--jobs", "1"]).output
         two = run(args + ["--jobs", "2"]).output
         assert one == two
+
+    @pytest.mark.parametrize("command", ["exact-polytree", "ratio", "verify-bounds"])
+    def test_zero_jobs_is_refused(self, workdir, command):
+        doc = run_json(
+            [command, "--dist", str(workdir / "parity3.json"), "--jobs", "0"],
+            expect_exit=1,
+        )
+        assert doc["error"] == {
+            "type": "ValidationError",
+            "message": "jobs must be >= 1, got 0",
+        }
 
     def test_exact_cap_is_enforced(self, workdir):
         doc = run_json(
@@ -475,6 +492,31 @@ class TestDeterminismAndSchema:
         ]
         for args in commands:
             assert run(args).output == run(args).output
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        command=st.sampled_from(["exact-polytree", "verify-bounds"]),
+        arities=st.lists(st.integers(2, 3), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([None, 0, 1, 2]),
+        data=st.data(),
+    )
+    def test_reports_are_byte_stable_across_reruns_and_option_orders(
+        self, workdir, command, arities, seed, k, data
+    ):
+        path = str(workdir / "stable.json")
+        write_distribution_json(random_joint_distribution(arities, seed=seed), path)
+        required = [["--dist", path]] + ([] if k is None else [["--k", str(k)]])
+        # Explicit defaults and --jobs 2 must print what the defaults print.
+        optional = [["--jobs", "2"], ["--exact-cap", "7"]]
+        if command == "verify-bounds":
+            optional.append(["--tolerance", "1e-06"])
+        expected = CliRunner().invoke(main, [command] + sum(required, []))
+        assert expected.exit_code in (0, 1), expected.output
+        options = data.draw(st.permutations(required + optional))
+        for _ in range(2):
+            result = CliRunner().invoke(main, [command] + sum(options, []))
+            assert (result.exit_code, result.output) == (expected.exit_code, expected.output)
 
     def test_missing_subcommand_is_usage_error(self):
         result = CliRunner().invoke(main, ["no-such-command"])

@@ -1,6 +1,7 @@
-"""The batched orientation scorer of the exact search against the scalar
-Gray-code walk it replaced, kept here as the reference."""
+"""The level-vectorised exact search against the scalar Gray-code walk it
+replaced, kept here as the reference."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -146,3 +147,39 @@ def test_two_jobs_equal_one_under_many_ties():
         one = exact_optimal_polytree(dist, k, jobs=1)
         two = exact_optimal_polytree(dist, k, jobs=2)
         assert two == one
+
+
+@pytest.mark.parametrize("k, count", [(2, 1_375_564), (None, 1_598_955)])
+def test_orientations_scored_at_seven_nodes(k, count):
+    """Orientations within the bound depend only on (n, k)."""
+    dist = random_joint_distribution([2] * 7, seed=7)
+    assert exact_optimal_polytree(dist, k).instances_enumerated == count
+
+
+@pytest.mark.parametrize("k, queries", [(0, 7), (2, 154), (None, 448)])
+def test_the_table_asks_only_for_conditionals_within_the_bound(monkeypatch, k, queries):
+    dist = random_joint_distribution([2] * 7, seed=7)
+    asked = []
+    conditional = dist.oracle.conditional
+
+    def counted(v, mask):
+        asked.append(mask)
+        return conditional(v, mask)
+
+    monkeypatch.setattr(dist.oracle, "conditional", counted)
+    exact_optimal_polytree(dist, k)
+    assert len(asked) == queries
+    assert max(mask.bit_count() for mask in asked) == (6 if k is None else k)
+
+
+def test_peak_memory_of_a_seven_node_search():
+    """A level's orientations (over 60 MB at n=7) are never materialised at
+    once: scoring holds one chunk of BATCH_ROWS rows."""
+    dist = random_joint_distribution([2] * 7, seed=7)
+    tracemalloc.start()
+    try:
+        exact_optimal_polytree(dist, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000

@@ -1,11 +1,17 @@
 """Hypothesis properties of mutual information and of the three learners."""
 
+from math import prod
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytreelab.distribution import mutual_information
+from polytreelab.branching import brute_force_branching, learn_optimal_branching
+from polytreelab.distribution import Distribution, VariableMeta, mutual_information
 from polytreelab.generators import random_joint_distribution
 from polytreelab.search import exact_optimal_polytree, local_search_polytree
+from polytreelab.structure import is_branching, score
 
 
 def joints(min_n, max_n):
@@ -13,6 +19,39 @@ def joints(min_n, max_n):
         random_joint_distribution,
         st.lists(st.integers(2, 3), min_size=min_n, max_size=max_n),
         seed=st.integers(0, 2**32 - 1),
+    )
+
+
+def _joint(arities, weights):
+    table = np.array(weights, dtype=float).reshape(arities)
+    return Distribution(
+        [VariableMeta(f"X{i}", a) for i, a in enumerate(arities)], table / table.sum()
+    )
+
+
+# Small integer weights give many zero and equal cells, so independent,
+# copied and tied variables are common.
+tie_heavy_joints = (
+    st.lists(st.integers(2, 3), min_size=2, max_size=6)
+    .filter(lambda arities: prod(arities) <= 96)
+    .flatmap(
+        lambda arities: st.lists(
+            st.integers(0, 3), min_size=prod(arities), max_size=prod(arities)
+        )
+        .filter(any)
+        .map(lambda weights: _joint(arities, weights))
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(joints(2, 6), tie_heavy_joints))
+def test_learned_branching_equals_brute_force(dist):
+    learned = learn_optimal_branching(dist)
+    assert is_branching(learned)
+    # The learner drops edges of at most OMEGA = 1e-12 bits.
+    assert score(dist, learned).total_bits == pytest.approx(
+        score(dist, brute_force_branching(dist)).total_bits, abs=1e-9
     )
 
 
