@@ -126,7 +126,7 @@ def _forest_levels(n: int):
     Level ``e + 1`` grows from level ``e`` in chunks of ``BATCH_ROWS``
     parents: a row gains each pair of larger index than its last edge whose
     ends carry different component labels, and the two labels merge. So
-    every forest is made once, from its ``e`` smallest edges.
+    every forest is made once, from the forest of its ``e`` smallest edges.
     """
     a, b = np.array(_all_pairs(n), dtype=np.intp).reshape(-1, 2).T
     index = np.arange(len(a))
@@ -185,8 +185,8 @@ def exact_optimal_polytree(
 
     flat = _conditional_table(dist.oracle, n, k_eff).ravel()
     offsets = (np.arange(n) << n)[:, None]
-    # weights[v, p, 0]: node b gains 2^a when pair p = (a, b) runs a -> b;
-    # weights[v, p, 1]: node a gains 2^b when it runs b -> a.
+    # Pair p = (a, b) adds 2^a to node b's mask when it runs a -> b
+    # (weights[b, p, 0]) and 2^b to node a's when it runs b -> a (weights[a, p, 1]).
     weights = np.zeros((n, n * (n - 1) // 2, 2))
     for p, (a, b) in enumerate(_all_pairs(n)):
         weights[b, p, 0] = 1 << a
