@@ -1,5 +1,6 @@
-"""The level-vectorised exact search against the scalar Gray-code walk it
-replaced, kept here as the reference."""
+"""The level-vectorised exact search against the scalar Gray-code walk,
+kept here as the reference, plus its orientation counts, oracle queries and
+peak memory."""
 
 import tracemalloc
 from itertools import combinations
