@@ -5,6 +5,10 @@ it twice produces byte-identical reports. The JSON report always goes to
 stdout; ``--out`` adds a file artifact (structure JSON/DOT, distribution
 JSON, dataset CSV, or sweep CSV depending on the command). Domain failures
 print a structured error report and exit 1; usage errors exit 2.
+
+Each option group is declared once (``_reads_dist``, ``_exact_options``,
+``_structure_out``, ``_reads_gadget``), and each report fragment has one
+builder.
 """
 
 from __future__ import annotations
@@ -54,50 +58,67 @@ def _guarded(fn):
     return wrapper
 
 
-def _dist_options(fn):
-    fn = click.option(
-        "--max-states",
-        type=int,
-        default=DEFAULT_STATE_CAP,
-        help="Joint state-space cap.",
-    )(fn)
-    fn = click.option(
-        "--arities",
-        "arities_path",
-        type=click.Path(),
-        default=None,
-        help="JSON sidecar declaring column arities for --data.",
-    )(fn)
-    fn = click.option(
-        "--data",
-        "data_path",
-        type=click.Path(),
-        default=None,
-        help="Dataset CSV; the empirical joint is used.",
-    )(fn)
-    fn = click.option(
-        "--dist",
-        "dist_path",
-        type=click.Path(),
-        default=None,
-        help="Distribution JSON.",
-    )(fn)
-    return fn
+def _options(*decorators):
+    """One decorator that applies click ``decorators`` as if stacked in
+    this order, so an option group is declared once."""
+
+    def apply(fn):
+        for decorator in reversed(decorators):
+            fn = decorator(fn)
+        return fn
+
+    return apply
 
 
-def _load_distribution(
-    dist_path: str | None,
-    data_path: str | None,
-    arities_path: str | None,
-    max_states: int,
-) -> Distribution:
-    if (dist_path is None) == (data_path is None):
-        raise ValidationError("provide exactly one of --dist or --data")
-    if dist_path is not None:
-        return read_distribution_json(dist_path, max_states=max_states)
-    arities = read_arity_sidecar(arities_path) if arities_path else None
-    dataset = read_dataset_csv(data_path, arities)
-    return empirical_distribution(dataset, max_states=max_states)
+_max_states = click.option(
+    "--max-states",
+    type=int,
+    default=DEFAULT_STATE_CAP,
+    help="Joint state-space cap.",
+)
+
+
+def _reads_dist(fn):
+    """Declare the input options and call ``fn`` with the joint they name in
+    their place, as its first argument."""
+
+    @_options(
+        click.option(
+            "--dist",
+            "dist_path",
+            type=click.Path(),
+            default=None,
+            help="Distribution JSON.",
+        ),
+        click.option(
+            "--data",
+            "data_path",
+            type=click.Path(),
+            default=None,
+            help="Dataset CSV; the empirical joint is used.",
+        ),
+        click.option(
+            "--arities",
+            "arities_path",
+            type=click.Path(),
+            default=None,
+            help="JSON sidecar declaring column arities for --data.",
+        ),
+        _max_states,
+    )
+    @functools.wraps(fn)
+    def wrapper(dist_path, data_path, arities_path, max_states, **kwargs):
+        if (dist_path is None) == (data_path is None):
+            raise ValidationError("provide exactly one of --dist or --data")
+        if dist_path is not None:
+            dist = read_distribution_json(dist_path, max_states=max_states)
+        else:
+            arities = read_arity_sidecar(arities_path) if arities_path else None
+            dataset = read_dataset_csv(data_path, arities)
+            dist = empirical_distribution(dataset, max_states=max_states)
+        return fn(dist, **kwargs)
+
+    return wrapper
 
 
 def _load_structure_for(dist: Distribution, path: str) -> Structure:
@@ -117,23 +138,135 @@ def _load_structure_for(dist: Distribution, path: str) -> Structure:
     return Structure(structure.n, parents)
 
 
-def _write_structure_artifact(
-    structure: Structure, names: list[str], out: str | None, fmt: str
-) -> None:
-    if out is None:
-        return
-    if fmt == "dot":
-        structure_mod.write_structure_dot(structure, names, out)
-    else:
-        structure_mod.write_structure_json(structure, names, out)
+def _structure_out(fn):
+    """Declare the structure artifact options of a command that reads a
+    joint. ``fn`` returns its report and the structure it found; this writes
+    the artifact under ``--out``, then the report."""
+
+    @_options(
+        click.option("--out", type=click.Path(), default=None, help="Structure artifact path."),
+        click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json"),
+    )
+    @functools.wraps(fn)
+    def wrapper(dist, out, fmt, **kwargs):
+        doc, structure = fn(dist, **kwargs)
+        if out is not None:
+            if fmt == "dot":
+                structure_mod.write_structure_dot(structure, list(dist.names), out)
+            else:
+                structure_mod.write_structure_json(structure, list(dist.names), out)
+        reports.write_report(doc)
+
+    return wrapper
 
 
-_jobs_option = click.option(
-    "--jobs",
-    type=int,
-    default=1,
-    help="Accepted for compatibility (must be >= 1); the search runs in one process.",
+_exact_options = _options(
+    click.option("--k", type=int, default=None, help="Parent bound (default: unbounded)."),
+    click.option(
+        "--exact-cap",
+        type=int,
+        default=search_mod.EXACT_MAX_NODES,
+        help="Refuse exhaustive search above this many variables.",
+    ),
+    click.option(
+        "--jobs",
+        type=int,
+        default=1,
+        help="Accepted for compatibility (must be >= 1); the search runs in one process.",
+    ),
 )
+
+
+def _exact_search(
+    dist: Distribution, k: int | None, exact_cap: int, jobs: int
+) -> search_mod.SearchReport:
+    """The search ``_exact_options`` ask for; ``--jobs`` is only checked."""
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    return search_mod.exact_optimal_polytree(dist, k, max_nodes=exact_cap)
+
+
+def _reads_gadget(fn):
+    """Declare the CNF argument and the blocker options, and call ``fn`` with
+    the compiled gadget and its metadata in their place. The DIMACS file is
+    read before the blocker options are checked."""
+
+    @_options(
+        click.argument("cnf_path", type=click.Path()),
+        click.option("--blockers", is_flag=True, default=False, help="Enable inedge blockers."),
+        click.option("--blocker-bias", type=float, default=None),
+        click.option("--blocker-copies", type=int, default=None),
+    )
+    @functools.wraps(fn)
+    def wrapper(cnf_path, blockers, blocker_bias, blocker_copies, **kwargs):
+        formula = cnf_mod.read_dimacs(cnf_path)
+        params = gadget_mod.GadgetParams(
+            include_inedge_blockers=blockers,
+            blocker_bias=blocker_bias,
+            blocker_copies=blocker_copies,
+        )
+        return fn(*gadget_mod.compile_cnf(formula, params), **kwargs)
+
+    return wrapper
+
+
+_gen_structure_out = click.option("--structure-out", type=click.Path(), default=None)
+_gen_artifacts = _options(
+    click.option("--out", type=click.Path(), default=None, help="Artifact path."),
+    _gen_structure_out,
+    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
+)
+
+
+def _structure_and_score(dist: Distribution, structure: Structure) -> dict:
+    """The ``structure`` and ``score`` fields of a report."""
+    return {
+        "structure": structure_mod.structure_to_json_dict(structure, list(dist.names)),
+        "score": structure_mod.score_report_dict(dist, structure),
+    }
+
+
+def _search_fields(kind: str, k: int | None, report: search_mod.SearchReport) -> dict:
+    """The fields shared by the exact-polytree, heuristic-polytree and ratio
+    reports."""
+    return {
+        "kind": kind,
+        "k": k,
+        "best_score_bits": report.best_score_bits,
+        "branching_score_bits": report.branching_score_bits,
+        "ratio": report.ratio,
+        "excess_bits": report.excess_bits,
+    }
+
+
+def _found_structure(
+    kind: str, k: int | None, dist: Distribution, report: search_mod.SearchReport
+) -> tuple[dict, Structure]:
+    """The report of a structure search, and the structure for ``--out``."""
+    doc = {
+        **_search_fields(kind, k, report),
+        **_structure_and_score(dist, report.best),
+        "instances_enumerated": report.instances_enumerated,
+    }
+    return doc, report.best
+
+
+def _write_gen_report(
+    dist: Distribution, generating: Structure, structure_out: str | None, **fields
+) -> None:
+    """Write ``--structure-out``, then the generator report: ``fields`` plus
+    the generating structure and its score."""
+    names = list(dist.names)
+    if structure_out is not None:
+        structure_mod.write_structure_json(generating, names, structure_out)
+    reports.write_report(
+        {
+            "kind": "gen",
+            **fields,
+            "generating_score_bits": structure_mod.score(dist, generating).total_bits,
+            "structure": structure_mod.structure_to_json_dict(generating, names),
+        }
+    )
 
 
 @click.group()
@@ -142,61 +275,38 @@ def main() -> None:
 
 
 @main.command("learn-branching")
-@_dist_options
-@click.option("--out", type=click.Path(), default=None, help="Structure artifact path.")
-@click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json")
 @_guarded
-def learn_branching_cmd(dist_path, data_path, arities_path, max_states, out, fmt):
+@_reads_dist
+@_structure_out
+def learn_branching_cmd(dist):
     """Learn the maximum-likelihood branching of the input joint."""
-    dist = _load_distribution(dist_path, data_path, arities_path, max_states)
     structure = branching_mod.learn_optimal_branching(dist)
     names = list(dist.names)
     doc = {
         "kind": "learn-branching",
-        "structure": structure_mod.structure_to_json_dict(structure, names),
-        "score": structure_mod.score_report_dict(dist, structure),
+        **_structure_and_score(dist, structure),
         "edges": [
             {"a": names[e.a], "b": names[e.b], "mi_bits": e.weight}
             for e in branching_mod.mutual_information_edges(dist)
         ],
     }
-    _write_structure_artifact(structure, names, out, fmt)
-    reports.write_report(doc)
+    return doc, structure
 
 
 @main.command("exact-polytree")
-@_dist_options
-@click.option("--k", type=int, default=None, help="Parent bound (default: unbounded).")
-@click.option(
-    "--exact-cap",
-    type=int,
-    default=search_mod.EXACT_MAX_NODES,
-    help="Refuse exhaustive search above this many variables.",
-)
-@_jobs_option
-@click.option("--out", type=click.Path(), default=None, help="Structure artifact path.")
-@click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json")
 @_guarded
-def exact_polytree_cmd(
-    dist_path, data_path, arities_path, max_states, k, exact_cap, jobs, out, fmt
-):
+@_reads_dist
+@_exact_options
+@_structure_out
+def exact_polytree_cmd(dist, k, exact_cap, jobs):
     """Exhaustively find a score-optimal (k-)polytree."""
-    dist = _load_distribution(dist_path, data_path, arities_path, max_states)
-    report = search_mod.exact_optimal_polytree(dist, k, max_nodes=exact_cap, jobs=jobs)
-    names = list(dist.names)
-    doc = reports.search_report_dict(
-        "exact-polytree",
-        report,
-        names,
-        structure_mod.score_report_dict(dist, report.best),
-        k,
-    )
-    _write_structure_artifact(report.best, names, out, fmt)
-    reports.write_report(doc)
+    report = _exact_search(dist, k, exact_cap, jobs)
+    return _found_structure("exact-polytree", k, dist, report)
 
 
 @main.command("heuristic-polytree")
-@_dist_options
+@_guarded
+@_reads_dist
 @click.option("--k", type=int, required=True, help="Parent bound (>= 1).")
 @click.option(
     "--budget",
@@ -211,30 +321,17 @@ def exact_polytree_cmd(
     default=None,
     help="Starting structure file (default: the learned branching).",
 )
-@click.option("--out", type=click.Path(), default=None, help="Structure artifact path.")
-@click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json")
-@_guarded
-def heuristic_polytree_cmd(
-    dist_path, data_path, arities_path, max_states, k, budget, seed_path, out, fmt
-):
+@_structure_out
+def heuristic_polytree_cmd(dist, k, budget, seed_path):
     """Greedy local search over k-polytrees (no optimality guarantee)."""
-    dist = _load_distribution(dist_path, data_path, arities_path, max_states)
     seed_structure = _load_structure_for(dist, seed_path) if seed_path else None
     report = search_mod.local_search_polytree(dist, k, seed_structure, budget=budget)
-    names = list(dist.names)
-    doc = reports.search_report_dict(
-        "heuristic-polytree",
-        report,
-        names,
-        structure_mod.score_report_dict(dist, report.best),
-        k,
-    )
-    _write_structure_artifact(report.best, names, out, fmt)
-    reports.write_report(doc)
+    return _found_structure("heuristic-polytree", k, dist, report)
 
 
 @main.command("score")
-@_dist_options
+@_guarded
+@_reads_dist
 @click.option(
     "--structure",
     "structure_path",
@@ -242,65 +339,40 @@ def heuristic_polytree_cmd(
     required=True,
     help="Structure JSON or DOT file.",
 )
-@_guarded
-def score_cmd(dist_path, data_path, arities_path, max_states, structure_path):
+def score_cmd(dist, structure_path):
     """Score a given structure against the input joint."""
-    dist = _load_distribution(dist_path, data_path, arities_path, max_states)
     structure = _load_structure_for(dist, structure_path)
-    doc = {
-        "kind": "score",
-        "structure": structure_mod.structure_to_json_dict(structure, list(dist.names)),
-        "score": structure_mod.score_report_dict(dist, structure),
-    }
-    reports.write_report(doc)
+    reports.write_report({"kind": "score", **_structure_and_score(dist, structure)})
 
 
 @main.command("ratio")
-@_dist_options
-@click.option("--k", type=int, default=None, help="Parent bound (default: unbounded).")
-@click.option("--exact-cap", type=int, default=search_mod.EXACT_MAX_NODES)
-@_jobs_option
 @_guarded
-def ratio_cmd(dist_path, data_path, arities_path, max_states, k, exact_cap, jobs):
+@_reads_dist
+@_exact_options
+def ratio_cmd(dist, k, exact_cap, jobs):
     """Best-branching score over best-polytree score."""
-    dist = _load_distribution(dist_path, data_path, arities_path, max_states)
-    report = search_mod.exact_optimal_polytree(dist, k, max_nodes=exact_cap, jobs=jobs)
-    reports.write_report(
-        {
-            "kind": "ratio",
-            "k": k,
-            "ratio": report.ratio,
-            "excess_bits": report.excess_bits,
-            "best_score_bits": report.best_score_bits,
-            "branching_score_bits": report.branching_score_bits,
-        }
-    )
+    report = _exact_search(dist, k, exact_cap, jobs)
+    reports.write_report(_search_fields("ratio", k, report))
 
 
 @main.command("verify-bounds")
-@_dist_options
-@click.option("--k", type=int, default=None, help="Parent bound for the oracle search.")
-@click.option("--exact-cap", type=int, default=search_mod.EXACT_MAX_NODES)
-@_jobs_option
+@_guarded
+@_reads_dist
+@_exact_options
 @click.option(
     "--tolerance",
     type=float,
     default=bounds_mod.DEFAULT_TOLERANCE_BITS,
     help="Slack in bits for every audited inequality.",
 )
-@_guarded
-def verify_bounds_cmd(
-    dist_path, data_path, arities_path, max_states, k, exact_cap, jobs, tolerance
-):
+def verify_bounds_cmd(dist, k, exact_cap, jobs, tolerance):
     """Audit the branching-vs-optimal guarantees on one input.
 
     Exits 0 when every applicable inequality holds, 1 otherwise.
     """
-    dist = _load_distribution(dist_path, data_path, arities_path, max_states)
-    branching = branching_mod.learn_optimal_branching(dist)
-    search = search_mod.exact_optimal_polytree(dist, k, max_nodes=exact_cap, jobs=jobs)
+    search = _exact_search(dist, k, exact_cap, jobs)
     report = bounds_mod.verify_bounds(
-        dist, search.best, branching, tolerance_bits=tolerance
+        dist, search.best, search.branching, tolerance_bits=tolerance
     )
     doc = reports.bounds_report_dict(report, list(dist.names))
     reports.write_report(doc)
@@ -314,6 +386,7 @@ def gen() -> None:
 
 
 @gen.command("xor-tree")
+@_guarded
 @click.option("--depth", type=int, default=None, help="Tree depth (>= 1).")
 @click.option("--eps", type=float, required=True, help="Leaf entropy in bits.")
 @click.option(
@@ -322,11 +395,8 @@ def gen() -> None:
     default=None,
     help="Sweep depths 1..max-depth and emit the growth curve.",
 )
-@click.option("--max-states", type=int, default=DEFAULT_STATE_CAP)
-@click.option("--out", type=click.Path(), default=None, help="Artifact path.")
-@click.option("--structure-out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@_guarded
+@_max_states
+@_gen_artifacts
 def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt):
     """Complete-binary-tree XOR family (branching-adversarial).
 
@@ -362,35 +432,28 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
     if depth is None:
         raise ValidationError("provide --depth (or --max-depth for a sweep)")
     dist, generating = gen_mod.xor_tree_family(depth, eps, max_states=max_states)
-    names = list(dist.names)
     if out is not None:
         write_distribution_json(dist, out)
-    if structure_out is not None:
-        structure_mod.write_structure_json(generating, names, structure_out)
-    reports.write_report(
-        {
-            "kind": "gen",
-            "family": "xor-tree",
-            "depth": depth,
-            "eps": eps,
-            "num_variables": dist.n,
-            "source_bias": bernoulli_bias_for_entropy(eps),
-            "generating_score_bits": structure_mod.score(dist, generating).total_bits,
-            "structure": structure_mod.structure_to_json_dict(generating, names),
-        }
+    _write_gen_report(
+        dist,
+        generating,
+        structure_out,
+        family="xor-tree",
+        depth=depth,
+        eps=eps,
+        num_variables=dist.n,
+        source_bias=bernoulli_bias_for_entropy(eps),
     )
 
 
 @gen.command("example")
+@_guarded
 @click.option(
     "--name",
     type=click.Choice(list(gen_mod.PARITY_FIXTURES)),
     required=True,
 )
-@click.option("--out", type=click.Path(), default=None, help="Artifact path.")
-@click.option("--structure-out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@_guarded
+@_gen_artifacts
 def gen_example_cmd(name, out, structure_out, fmt):
     """Bundled parity fixtures.
 
@@ -398,77 +461,57 @@ def gen_example_cmd(name, out, structure_out, fmt):
     empirical joint reproduces the fixture exactly.
     """
     dist, generating = gen_mod.parity_fixture(name)
-    names = list(dist.names)
     if out is not None:
         if fmt == "csv":
             rows = np.argwhere(dist.table > 0)
             write_dataset_csv(Dataset(dist.variables, rows), out)
         else:
             write_distribution_json(dist, out)
-    if structure_out is not None:
-        structure_mod.write_structure_json(generating, names, structure_out)
-    reports.write_report(
-        {
-            "kind": "gen",
-            "family": "example",
-            "name": name,
-            "num_variables": dist.n,
-            "generating_score_bits": structure_mod.score(dist, generating).total_bits,
-            "structure": structure_mod.structure_to_json_dict(generating, names),
-        }
+    _write_gen_report(
+        dist,
+        generating,
+        structure_out,
+        family="example",
+        name=name,
+        num_variables=dist.n,
     )
 
 
 @gen.command("random")
+@_guarded
 @click.option("--n", type=int, required=True, help="Number of variables.")
 @click.option("--k", type=int, default=2, help="Generating indegree bound.")
 @click.option("--arity", type=int, default=2)
 @click.option("--seed", type=int, default=0)
 @click.option("--edge-prob", type=float, default=0.9)
-@click.option("--max-states", type=int, default=DEFAULT_STATE_CAP)
+@_max_states
 @click.option("--out", type=click.Path(), default=None, help="Distribution JSON path.")
-@click.option("--structure-out", type=click.Path(), default=None)
-@_guarded
+@_gen_structure_out
 def gen_random_cmd(n, k, arity, seed, edge_prob, max_states, out, structure_out):
     """Seeded random k-polytree instance."""
     dist, generating = gen_mod.random_polytree_instance(
         n, k, arity, seed, edge_prob=edge_prob, max_states=max_states
     )
-    names = list(dist.names)
     if out is not None:
         write_distribution_json(dist, out)
-    if structure_out is not None:
-        structure_mod.write_structure_json(generating, names, structure_out)
-    reports.write_report(
-        {
-            "kind": "gen",
-            "family": "random",
-            "n": n,
-            "k": k,
-            "arity": arity,
-            "seed": seed,
-            "edge_prob": edge_prob,
-            "generating_score_bits": structure_mod.score(dist, generating).total_bits,
-            "structure": structure_mod.structure_to_json_dict(generating, names),
-        }
-    )
-
-
-def _gadget_params(blockers: bool, blocker_bias: float | None, blocker_copies: int | None):
-    return gadget_mod.GadgetParams(
-        include_inedge_blockers=blockers,
-        blocker_bias=blocker_bias,
-        blocker_copies=blocker_copies,
+    _write_gen_report(
+        dist,
+        generating,
+        structure_out,
+        family="random",
+        n=n,
+        k=k,
+        arity=arity,
+        seed=seed,
+        edge_prob=edge_prob,
     )
 
 
 @gen.command("cnf")
-@click.argument("cnf_path", type=click.Path())
+@_guarded
 @click.option("--samples", type=int, default=0, help="Rows to sample (0: none).")
 @click.option("--seed", type=int, default=0)
-@click.option("--blockers", is_flag=True, default=False, help="Enable inedge blockers.")
-@click.option("--blocker-bias", type=float, default=None)
-@click.option("--blocker-copies", type=int, default=None)
+@_reads_gadget
 @click.option("--out", type=click.Path(), default=None, help="Dataset CSV path.")
 @click.option(
     "--arities-out",
@@ -476,15 +519,8 @@ def _gadget_params(blockers: bool, blocker_bias: float | None, blocker_copies: i
     default=None,
     help="Arity sidecar JSON for the sampled dataset.",
 )
-@_guarded
-def gen_cnf_cmd(
-    cnf_path, samples, seed, blockers, blocker_bias, blocker_copies, out, arities_out
-):
+def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
     """Compile a restricted CNF into its layered hard distribution."""
-    formula = cnf_mod.read_dimacs(cnf_path)
-    compiled, metadata = gadget_mod.compile_cnf(
-        formula, _gadget_params(blockers, blocker_bias, blocker_copies)
-    )
     if samples > 0 and out is not None:
         write_dataset_csv(compiled.sample_dataset(samples, seed), out)
     if arities_out is not None:
@@ -510,10 +546,8 @@ def gen_cnf_cmd(
 
 
 @main.command("verify-gadget")
-@click.argument("cnf_path", type=click.Path())
-@click.option("--blockers", is_flag=True, default=False, help="Enable inedge blockers.")
-@click.option("--blocker-bias", type=float, default=None)
-@click.option("--blocker-copies", type=int, default=None)
+@_guarded
+@_reads_gadget
 @click.option(
     "--assignment",
     type=str,
@@ -521,16 +555,11 @@ def gen_cnf_cmd(
     help="Comma-separated 0/1 values (default: exhaustive best).",
 )
 @click.option("--tolerance", type=float, default=1e-9, help="Slack in bits.")
-@_guarded
-def verify_gadget_cmd(cnf_path, blockers, blocker_bias, blocker_copies, assignment, tolerance):
+def verify_gadget_cmd(compiled, _metadata, assignment, tolerance):
     """Audit a compiled CNF gadget against its analytic entropy targets.
 
     Exits 0 when every check passes, 1 otherwise.
     """
-    formula = cnf_mod.read_dimacs(cnf_path)
-    compiled, _ = gadget_mod.compile_cnf(
-        formula, _gadget_params(blockers, blocker_bias, blocker_copies)
-    )
     parsed = None
     if assignment is not None:
         try:

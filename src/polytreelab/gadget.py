@@ -197,7 +197,12 @@ class GadgetAudit:
 
 
 class CompiledGadget:
-    """Layered sampler with exact small-scope entropy queries."""
+    """Layered sampler with exact small-scope entropy queries.
+
+    Like a ``Distribution`` it is an entropy source: ``n``, ``variables`` and
+    ``oracle`` are all that the searches, the branching learner and ``score``
+    read, so they take a compiled gadget as it is.
+    """
 
     def __init__(self, formula: CnfFormula, params: GadgetParams):
         self.formula = formula
@@ -248,6 +253,10 @@ class CompiledGadget:
         return tuple(nodes)
 
     # -- lookups ---------------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
 
     @property
     def node_names(self) -> tuple[str, ...]:

@@ -18,8 +18,6 @@ from typing import Any, IO
 from .bounds import BoundsReport
 from .errors import CapExceededError, ToolkitError
 from .gadget import GadgetAudit
-from .search import SearchReport
-from .structure import structure_to_json_dict
 
 SIGNIFICANT_DIGITS = 12
 
@@ -56,26 +54,6 @@ def error_report(exc: BaseException) -> dict:
     if isinstance(exc, CapExceededError) and exc.constraint:
         doc["error"]["constraint"] = exc.constraint
     return doc
-
-
-def search_report_dict(
-    kind: str,
-    report: SearchReport,
-    names: list[str],
-    score_detail: dict,
-    k: int | None,
-) -> dict:
-    return {
-        "kind": kind,
-        "k": k,
-        "structure": structure_to_json_dict(report.best, names),
-        "score": score_detail,
-        "best_score_bits": report.best_score_bits,
-        "branching_score_bits": report.branching_score_bits,
-        "ratio": report.ratio,
-        "excess_bits": report.excess_bits,
-        "instances_enumerated": report.instances_enumerated,
-    }
 
 
 def bounds_report_dict(report: BoundsReport, names: list[str]) -> dict:

@@ -24,7 +24,11 @@ the level being scored and of the next one while it grows.
 add / remove / reverse / swap; it never worsens its seed but can stall at
 local minima (parity-style distributions defeat it by design).
 
-Both searches read their score terms from ``dist.oracle.conditional``.
+Both searches read their score terms from ``dist.oracle.conditional``; the
+learned branching they are compared against, which ``SearchReport``
+carries, goes through the public entropies. ``dist`` is any entropy source
+with ``n``, ``variables`` and ``oracle``: a ``Distribution`` or a
+``CompiledGadget``.
 """
 
 from __future__ import annotations
@@ -56,10 +60,12 @@ class SearchReport:
     ``ratio`` is branching score over best score and is undefined (None)
     when the best score is at most ``RATIO_DENOMINATOR_EPS``;
     ``excess_bits`` is always the additive gap between the two scores.
+    ``branching`` is the learned optimal branching that was scored.
     """
 
     best: Structure
     best_score_bits: float
+    branching: Structure
     branching_score_bits: float
     ratio: float | None
     excess_bits: float
@@ -158,15 +164,13 @@ def exact_optimal_polytree(
     k: int | None = None,
     *,
     max_nodes: int = EXACT_MAX_NODES,
-    jobs: int = 1,
 ) -> SearchReport:
     """Global minimum-score polytree with indegree bound ``k`` (None for
     unbounded), found by exhaustive enumeration.
 
     Refuses more than ``max_nodes`` variables; raise the cap explicitly if
-    you accept the exponential running time. ``jobs`` must be >= 1 and is
-    otherwise ignored: the search runs in one process. It is kept so that
-    callers passing it still work.
+    you accept the exponential running time. The search runs in one
+    process.
     """
     n = dist.n
     if n > max_nodes:
@@ -180,8 +184,6 @@ def exact_optimal_polytree(
         if k < 0:
             raise ValidationError(f"indegree bound k must be >= 0, got {k}")
         k_eff = min(k, n - 1)
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
 
     flat = _conditional_table(dist.oracle, n, k_eff).ravel()
     offsets = (np.arange(n) << n)[:, None]
@@ -226,14 +228,17 @@ def exact_optimal_polytree(
 
     assert best.parents is not None
     structure = _structure_of(list(best.parents))
-    branching = learn_optimal_branching(dist)
-    branching_bits = score(dist, branching).total_bits
-    return _finish_report(structure, best.score, branching_bits, enumerated)
+    return _finish_report(dist, learn_optimal_branching(dist), structure, best.score, enumerated)
 
 
 def _finish_report(
-    best: Structure, best_bits: float, branching_bits: float, enumerated: int
+    dist: Distribution,
+    branching: Structure,
+    best: Structure,
+    best_bits: float,
+    enumerated: int,
 ) -> SearchReport:
+    branching_bits = score(dist, branching).total_bits
     if best_bits > RATIO_DENOMINATOR_EPS:
         ratio: float | None = branching_bits / best_bits
     else:
@@ -242,6 +247,7 @@ def _finish_report(
     return SearchReport(
         best=best,
         best_score_bits=best_bits,
+        branching=branching,
         branching_score_bits=branching_bits,
         ratio=ratio,
         excess_bits=excess,
@@ -297,8 +303,9 @@ def local_search_polytree(
         raise ValidationError(f"local search needs an indegree bound k >= 1, got {k}")
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget}")
+    branching = learn_optimal_branching(dist)
     if seed_structure is None:
-        seed_structure = learn_optimal_branching(dist)
+        seed_structure = branching
     if seed_structure.n != n:
         raise ValidationError(
             f"seed has {seed_structure.n} nodes but distribution has {n} variables"
@@ -384,7 +391,4 @@ def local_search_polytree(
 
     structure = _structure_of(parent_masks)
     best_bits = score(dist, structure).total_bits
-    branching = learn_optimal_branching(dist)
-    branching_bits = score(dist, branching).total_bits
-    report = _finish_report(structure, best_bits, branching_bits, max(evaluated, 1))
-    return report
+    return _finish_report(dist, branching, structure, best_bits, max(evaluated, 1))

@@ -28,8 +28,7 @@ from .errors import FormatError, ValidationError
 
 
 class UnionFind:
-    """Disjoint sets over ``0..n-1`` with union by size and no path
-    compression, so ``undo`` can revert unions, most recent first."""
+    """Disjoint sets over ``0..n-1`` with union by size."""
 
     def __init__(self, n: int):
         self._parent = list(range(n))
@@ -40,21 +39,16 @@ class UnionFind:
             x = self._parent[x]
         return x
 
-    def union(self, a: int, b: int) -> tuple[int, int] | None:
-        """Merge the sets of ``a`` and ``b``; the undo record, or None if joined."""
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of ``a`` and ``b``; False if they were already one."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return None
+            return False
         if self._size[ra] < self._size[rb]:
             ra, rb = rb, ra
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
-        return ra, rb
-
-    def undo(self, record: tuple[int, int]) -> None:
-        ra, rb = record
-        self._parent[rb] = rb
-        self._size[ra] -= self._size[rb]
+        return True
 
 
 @dataclass(frozen=True, eq=False)

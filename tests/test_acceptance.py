@@ -64,7 +64,7 @@ def bound_suite():
         if l_bits <= 1e-9:
             continue
         branching = learn_optimal_branching(dist)
-        search = exact_optimal_polytree(dist, None, jobs=1)
+        search = exact_optimal_polytree(dist, None)
         audits.append(
             verify_bounds(dist, search.best, branching, tolerance_bits=TOL_BOUNDS)
         )
@@ -105,9 +105,9 @@ class TestAcceptance:
         three_parent = score(
             dist, Structure(4, [(1, 2, 3), (), (), ()])
         ).total_bits
-        two_parent = exact_optimal_polytree(dist, 2, jobs=1).best_score_bits
+        two_parent = exact_optimal_polytree(dist, 2).best_score_bits
         branching = score(dist, learn_optimal_branching(dist)).total_bits
-        unbounded = exact_optimal_polytree(dist, 3, jobs=1)
+        unbounded = exact_optimal_polytree(dist, 3)
         values = {
             "empty": (empty, 4.0),
             "three-parent": (three_parent, 3.0),
@@ -277,7 +277,7 @@ class TestAcceptance:
             seed_structure = learn_optimal_branching(dist)
             seed_bits = score(dist, seed_structure).total_bits
             local = local_search_polytree(dist, 2, seed_structure)
-            exact = exact_optimal_polytree(dist, 2, jobs=1)
+            exact = exact_optimal_polytree(dist, 2)
             total += 1
             if local.best_score_bits > seed_bits + TOL_EXACT:
                 never_worse = False

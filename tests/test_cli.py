@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import jsonschema
 import numpy as np
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytreelab.branching import learn_optimal_branching
 from polytreelab.cli import main
 from polytreelab.cnf import bundled_formulas, write_dimacs_file
 from polytreelab.distribution import (
@@ -274,6 +276,20 @@ class TestVerifyBounds:
             expect_exit=1,
         )
         assert doc["passed"] is False
+
+    def test_learns_the_branching_once(self, workdir, monkeypatch):
+        learned = []
+
+        def counted(dist):
+            learned.append(dist)
+            return learn_optimal_branching(dist)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("polytreelab."):
+                if getattr(module, "learn_optimal_branching", None) is learn_optimal_branching:
+                    monkeypatch.setattr(module, "learn_optimal_branching", counted)
+        run_json(["verify-bounds", "--dist", str(workdir / "parity3.json"), "--k", "2"])
+        assert len(learned) == 1
 
 
 class TestGenXorTree:

@@ -1,0 +1,156 @@
+"""Exact bytes of the command line: a sha256 ledger of one call per command
+on bundled fixtures, and the help of the options that commands share."""
+
+import hashlib
+
+import click
+import pytest
+from click.testing import CliRunner
+
+from polytreelab.cli import main
+from polytreelab.cnf import bundled_formulas, write_dimacs_file
+from polytreelab.distribution import write_distribution_json
+from polytreelab.generators import parity_fixture
+from polytreelab.structure import write_structure_json
+
+# (arguments, exit code, sha256 of stdout, {artifact: sha256 of its bytes}).
+# The calls run in this order in one directory: later calls read the
+# distribution that `gen random` writes.
+LEDGER = [
+    (
+        ["gen", "random", "--n", "5", "--seed", "7", "--out", "random5.json"],
+        0,
+        "a173dc8aacb5f847476ffca932cba3515bc02db52e8516e371924d58a57530ed",
+        {"random5.json": "88f9e85aa1ee7d45e7cd47370a73ac348809834f83bb5851f5062913b47177eb"},
+    ),
+    (
+        ["learn-branching", "--dist", "parity3.json", "--out", "branching.json"],
+        0,
+        "c0027d21120e89a0dfd27a4d3bce99fb2055f65be646a411a246a50ab69ba339",
+        {"branching.json": "02fa4f5922f715a61f5af2f6c2a17ae8ee47124f0cc862f132607122f0bfc6c0"},
+    ),
+    (
+        [
+            "exact-polytree",
+            "--dist", "random5.json",
+            "--k", "2",
+            "--out", "exact.dot",
+            "--format", "dot",
+        ],
+        0,
+        "c2eced8b490cf321c4ad5aacb32e3b32014975345040b65935215e3444741f95",
+        {"exact.dot": "3ec58d1705806e32b577cbc584d442d78f05c370bc2b6f69972c16a4a75d63c1"},
+    ),
+    (
+        ["heuristic-polytree", "--dist", "random5.json", "--k", "2"],
+        0,
+        "80a7a8cc7b0e627e3960e835b7ba102b1593cae358a6de2c5b62aeb0059a8bae",
+        {},
+    ),
+    (
+        ["score", "--dist", "parity3.json", "--structure", "parity3_structure.json"],
+        0,
+        "0083ee2eb24322e2a8f38e48c9eff6edcdaece50c92bbbdb4bc90b244446f761",
+        {},
+    ),
+    (
+        ["ratio", "--dist", "parity3.json"],
+        0,
+        "5a045bfce4c77dce0377a2fb4fff3ac27bbc695c3f60e20d2ea942cd4d559fd8",
+        {},
+    ),
+    (
+        ["verify-bounds", "--dist", "random5.json", "--k", "2"],
+        0,
+        "7a806bf302d9e67c76e502e4610dd34c222f7294c1f1a605615dedd3142cb7ba",
+        {},
+    ),
+    (
+        ["gen", "xor-tree", "--depth", "2", "--eps", "0.3"],
+        0,
+        "edf686d6906c2e06fb97b31a53571137e07f23608a202032b5d7d87d9490acee",
+        {},
+    ),
+    (
+        ["gen", "example", "--name", "parity2", "--format", "csv", "--out", "parity2.csv"],
+        0,
+        "1397fa1d80bc21e425eeeb5d4b84df33ddf0920a538213e76397929ecc02c86c",
+        {"parity2.csv": "8474706e06143ae07da24b9ffb591240b3c2c4f6d6f3934f3eca36bc0d2c8fdd"},
+    ),
+    (
+        ["gen", "cnf", "single_variable.cnf", "--samples", "20", "--seed", "4"],
+        0,
+        "6bfe8e49b5bd2380ed84097ffabf19b39fcd80aee7bcdbe53d370ba516419e7b",
+        {},
+    ),
+    (
+        ["verify-gadget", "single_variable.cnf", "--blockers"],
+        0,
+        "aaf3d6cdcdb53b08b963b40ce3f4c963d91f29e94786980293c666a0edd44340",
+        {},
+    ),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_command_prints_its_ledger_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("parity2", "parity3"):
+        dist, generating = parity_fixture(name)
+        write_distribution_json(dist, f"{name}.json")
+        write_structure_json(generating, list(dist.names), f"{name}_structure.json")
+    for name, formula in bundled_formulas():
+        write_dimacs_file(formula, tmp_path / f"{name}.cnf")
+    for args, code, stdout_sha, artifacts in LEDGER:
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert (result.exit_code, _sha256(result.output.encode())) == (code, stdout_sha), args
+        for path, sha in artifacts.items():
+            assert _sha256((tmp_path / path).read_bytes()) == sha, path
+
+
+def test_the_ledger_calls_every_command():
+    called = {tuple(args[:2]) if args[0] == "gen" else (args[0],) for args, *_ in LEDGER}
+    commands = {(name,) for name in main.commands if name != "gen"}
+    commands |= {("gen", name) for name in main.commands["gen"].commands}
+    assert called == commands
+
+
+# Options that several commands share through one option group.
+SHARED_OPTIONS = {
+    "--k": [["exact-polytree"], ["ratio"], ["verify-bounds"]],
+    "--exact-cap": [["exact-polytree"], ["ratio"], ["verify-bounds"]],
+    "--jobs": [["exact-polytree"], ["ratio"], ["verify-bounds"]],
+    "--out": [["learn-branching"], ["exact-polytree"], ["heuristic-polytree"]],
+    "--blockers": [["gen", "cnf"], ["verify-gadget"]],
+    "--max-states": [
+        ["learn-branching"],
+        ["exact-polytree"],
+        ["heuristic-polytree"],
+        ["score"],
+        ["ratio"],
+        ["verify-bounds"],
+        ["gen", "xor-tree"],
+        ["gen", "random"],
+    ],
+}
+
+
+def _help_record(path: list[str], option: str) -> tuple[str, str]:
+    """The (option, help) pair that ``--help`` of the command prints."""
+    command = main
+    for name in path:
+        command = command.commands[name]
+    ctx = click.Context(command, info_name=path[-1])
+    (param,) = [p for p in command.params if option in p.opts]
+    return param.get_help_record(ctx)
+
+
+@pytest.mark.parametrize("option", sorted(SHARED_OPTIONS))
+def test_a_shared_option_has_one_help_line(option):
+    records = {tuple(path): _help_record(path, option) for path in SHARED_OPTIONS[option]}
+    assert len(set(records.values())) == 1, records
+    (_, help_text), *_ = records.values()
+    assert help_text

@@ -1,4 +1,4 @@
-"""The one memoised entropy oracle, its round-off rule, and the undoable union-find."""
+"""The one memoised entropy oracle, its round-off rule, and the union-find."""
 
 import itertools
 import math
@@ -83,21 +83,17 @@ def test_score_is_the_sum_of_the_oracle_conditionals(table, rnd):
         st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)
     )
 ))
-def test_union_find_undo_restores_every_find(case):
+def test_union_find_union_reports_merges(case):
     n, pairs = case
     uf = UnionFind(n)
-    history = []
+    label = list(range(n))  # reference partition: one label per set
     for a, b in pairs:
-        before = [uf.find(v) for v in range(n)]
-        record = uf.union(a, b)
-        assert (record is None) == (before[a] == before[b])
-        if record is not None:
-            assert record
-            assert uf.find(a) == uf.find(b)
-            history.append((record, before))
-    for record, before in reversed(history):
-        uf.undo(record)
-        assert [uf.find(v) for v in range(n)] == before
+        assert uf.union(a, b) is (label[a] != label[b])
+        label = [label[a] if x == label[b] else x for x in label]
+        for u in range(n):
+            assert [uf.find(u) == uf.find(v) for v in range(n)] == [
+                label[u] == label[v] for v in range(n)
+            ]
 
 
 def test_round_off_rule_is_shared_by_set_entropies_and_conditionals():

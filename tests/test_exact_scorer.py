@@ -93,7 +93,7 @@ def reference_exact(dist: Distribution, k: int | None) -> tuple[Structure, float
     for e in range(n):
         for edges in combinations(pairs, e):
             uf = UnionFind(n)
-            if all(uf.union(a, b) is not None for a, b in edges):
+            if all(uf.union(a, b) for a, b in edges):
                 scored += _scan_orientations(list(edges), dist.oracle, k_eff, n, best)
     parents = [[i for i in range(n) if best.parents[v] >> i & 1] for v in range(n)]
     return Structure(n, parents), best.score, scored
@@ -142,12 +142,10 @@ def test_batched_scorer_equals_the_scalar_walk(name):
         assert report.instances_enumerated == scored, k
 
 
-def test_two_jobs_equal_one_under_many_ties():
+def test_rerun_is_identical_under_many_ties():
     dist = _copies(6)
     for k in (None, 2):
-        one = exact_optimal_polytree(dist, k, jobs=1)
-        two = exact_optimal_polytree(dist, k, jobs=2)
-        assert two == one
+        assert exact_optimal_polytree(dist, k) == exact_optimal_polytree(dist, k)
 
 
 @pytest.mark.parametrize("k, count", [(2, 1_375_564), (None, 1_598_955)])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from polytreelab.branching import brute_force_branching, learn_optimal_branching
+from polytreelab.cnf import bundled_formulas
 from polytreelab.distribution import Distribution, VariableMeta
 from polytreelab.errors import CapExceededError, InvariantError, ValidationError
+from polytreelab.gadget import CompiledGadget, compile_cnf
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -65,13 +67,13 @@ class TestExactSearch:
             )
             assert report.best_score_bits <= report.branching_score_bits + 1e-9
 
-    def test_parallel_merge_matches_sequential(self):
+    def test_rerun_on_a_warm_memo_matches_the_first_run(self):
         dist = random_joint_distribution([2, 2, 2, 3], seed=77)
-        seq = exact_optimal_polytree(dist, 2, jobs=1)
-        par = exact_optimal_polytree(dist, 2, jobs=2)
-        assert seq.best == par.best
-        assert seq.best_score_bits == par.best_score_bits
-        assert seq.instances_enumerated == par.instances_enumerated
+        first = exact_optimal_polytree(dist, 2)
+        again = exact_optimal_polytree(dist, 2)
+        assert first.best == again.best
+        assert first.best_score_bits == again.best_score_bits
+        assert first.instances_enumerated == again.instances_enumerated
 
     def test_node_cap_names_constraint(self):
         dist = random_joint_distribution([2] * (EXACT_MAX_NODES + 1), seed=1)
@@ -166,3 +168,36 @@ def test_k_polytree_check_raises_a_structured_error():
     ):
         with pytest.raises(InvariantError, match=f"left the {k}-polytrees"):
             _check_k_polytree(structure, k)
+
+
+def _dense_joint(gadget: CompiledGadget) -> Distribution:
+    """The gadget's joint as a dense table, by enumerating all its coins."""
+    coins = sorted(gadget.coin_biases)
+    index = np.arange(1 << len(coins))
+    bits = {name: index >> pos & 1 for pos, name in enumerate(coins)}
+    probs = np.ones(len(index))
+    for name in coins:
+        bias = gadget.coin_biases[name]
+        probs *= np.where(bits[name] == 1, bias, 1.0 - bias)
+    table = np.zeros([m.arity for m in gadget.variables])
+    np.add.at(table, tuple(gadget._node_values(node, bits) for node in gadget.nodes), probs)
+    return Distribution(gadget.variables, table)
+
+
+def test_a_gadget_is_searched_like_its_dense_joint():
+    formula = dict(bundled_formulas())["single_variable"]
+    gadget, _ = compile_cnf(formula)
+    dense = _dense_joint(gadget)
+    assert len(gadget.coin_biases) == 7 and gadget.n == dense.n == 5
+    for search in (exact_optimal_polytree, local_search_polytree):
+        on_gadget, on_dense = search(gadget, 2), search(dense, 2)
+        assert on_gadget.best == on_dense.best
+        assert on_gadget.branching == on_dense.branching
+        assert on_gadget.instances_enumerated == on_dense.instances_enumerated
+        assert on_gadget.best_score_bits == pytest.approx(on_dense.best_score_bits, abs=1e-12)
+        assert on_gadget.branching_score_bits == pytest.approx(
+            on_dense.branching_score_bits, abs=1e-12
+        )
+    report = exact_optimal_polytree(gadget, 2)
+    assert report.best_score_bits == pytest.approx(5.0, abs=1e-12)
+    assert report.instances_enumerated == 2916

@@ -76,5 +76,5 @@ def test_exact_at_most_local_at_most_branching(dist, k):
 
 @settings(max_examples=8, deadline=None)
 @given(joints(2, 6), st.sampled_from([None, 1, 2]))
-def test_exact_search_is_the_same_under_two_jobs(dist, k):
-    assert exact_optimal_polytree(dist, k, jobs=2) == exact_optimal_polytree(dist, k, jobs=1)
+def test_exact_search_is_the_same_on_rerun(dist, k):
+    assert exact_optimal_polytree(dist, k) == exact_optimal_polytree(dist, k)
