@@ -265,6 +265,8 @@ def verify_bounds(
     on every single-sink component of ``optimal``, and components with more
     than one sink are counted in ``skipped_multi_sink_components``.
     """
+    if not math.isfinite(tolerance_bits):
+        raise ValidationError(f"tolerance must be finite, got {tolerance_bits}")
     if not is_branching(branching):
         raise ValidationError("the 'branching' argument is not a branching")
     report = charge_report(dist, optimal)

@@ -41,6 +41,7 @@ ascending node order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -505,6 +506,8 @@ def verify_gadget(
     its two principals, per-layer entropy totals, and the score drop of the
     assignment-induced structure against ``m' (1/2 - delta) + n delta``.
     """
+    if not math.isfinite(tolerance_bits):
+        raise ValidationError(f"tolerance must be finite, got {tolerance_bits}")
     params = compiled.params
     formula = compiled.formula
     delta = params.delta_bits

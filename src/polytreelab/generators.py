@@ -179,6 +179,8 @@ def random_polytree_instance(
         raise ValidationError(f"n must be >= 1, got {n}")
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValidationError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     arities = [arity] * n if isinstance(arity, int) else [int(a) for a in arity]
     if len(arities) != n:
         raise ValidationError(f"expected {n} arities, got {len(arities)}")

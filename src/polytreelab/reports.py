@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import asdict
 from importlib import resources
 from typing import Any, IO
 
@@ -64,50 +65,16 @@ def bounds_report_dict(report: BoundsReport, names: list[str]) -> dict:
         "optimal_score_bits": report.optimal_score_bits,
         "max_node_entropy_bits": report.charges.max_node_entropy_bits,
         "min_node_entropy_bits": report.charges.min_node_entropy_bits,
-        "bounds": [
-            {
-                "name": check.name,
-                "lhs_bits": check.lhs_bits,
-                "rhs_bits": check.rhs_bits,
-                "passed": check.passed,
-                "applicable": check.applicable,
-            }
-            for check in report.bounds
-        ],
+        "bounds": [asdict(check) for check in report.bounds],
         "subtree_checks": [
-            {
-                "bound": row.bound,
-                "node": names[row.node],
-                "lhs_bits": row.lhs_bits,
-                "rhs_bits": row.rhs_bits,
-                "passed": row.passed,
-            }
-            for row in report.subtree_rows
+            {**asdict(row), "node": names[row.node]} for row in report.subtree_rows
         ],
         "skipped_multi_sink_components": report.skipped_multi_sink_components,
     }
 
 
 def gadget_audit_dict(audit: GadgetAudit) -> dict:
-    return {
-        "kind": "verify-gadget",
-        "passed": audit.ok,
-        "rows": [
-            {
-                "name": row.name,
-                "observed_bits": row.observed_bits,
-                "expected_bits": row.expected_bits,
-                "passed": row.passed,
-            }
-            for row in audit.rows
-        ],
-        "assignment": list(audit.assignment),
-        "satisfied_count": audit.satisfied_count,
-        "observed_drop_bits": audit.observed_drop_bits,
-        "expected_drop_bits": audit.expected_drop_bits,
-        "structure_is_polytree": audit.structure_is_polytree,
-        "structure_max_indegree": audit.structure_max_indegree,
-    }
+    return {"kind": "verify-gadget", "passed": audit.ok, **asdict(audit)}
 
 
 def growth_curve_csv(rows: list[dict]) -> str:

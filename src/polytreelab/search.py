@@ -20,9 +20,16 @@ chunk minimum. The search runs in one process; beyond the table, its memory
 is the arrays of one chunk plus the 8-bit forests and component labels of
 the level being scored and of the next one while it grows.
 
-``local_search_polytree`` is a steepest-descent heuristic over the moves
-add / remove / reverse / swap; it never worsens its seed but can stall at
-local minima (parity-style distributions defeat it by design).
+``local_search_polytree`` is a steepest-descent heuristic; it never worsens
+its seed but can stall at local minima (parity-style distributions defeat
+it by design). A move cuts at most one edge and then links at most one pair
+of trees of the cut forest, as ``_moves`` enumerates them: cutting
+``u -> v`` alone is ``remove``; linking with nothing cut is ``add``; after a
+cut, linking ``x -> y`` is ``swap``, and the link ``v -> u`` is also offered
+as ``reverse``, so that structure is scored twice. A link needs room under
+the bound ``k`` at its child. Each round applies the smallest
+``(-gain, move)``, where a gain adds the cut child's term first; every move
+scored counts towards ``instances_enumerated``.
 
 Both searches read their score terms from ``dist.oracle.conditional``; the
 learned branching they are compared against, which ``SearchReport``
@@ -74,28 +81,6 @@ class SearchReport:
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
-
-
-class _Best:
-    """Running minimum of (score, parent-set encoding)."""
-
-    __slots__ = ("score", "key", "parents")
-
-    def __init__(self) -> None:
-        self.score = float("inf")
-        self.key: tuple[tuple[int, ...], ...] | None = None
-        self.parents: tuple[int, ...] | None = None
-
-    def offer(self, total: float, parent_masks: list[int], n: int) -> None:
-        if total > self.score:
-            return
-        key = tuple(
-            tuple(i for i in range(n) if parent_masks[v] >> i & 1) for v in range(n)
-        )
-        if total < self.score or (self.key is not None and key < self.key):
-            self.score = total
-            self.key = key
-            self.parents = tuple(parent_masks)
 
 
 def _conditional_table(oracle: EntropyOracle, n: int, k: int) -> np.ndarray:
@@ -193,11 +178,12 @@ def exact_optimal_polytree(
     for p, (a, b) in enumerate(_all_pairs(n)):
         weights[b, p, 0] = 1 << a
         weights[a, p, 1] = 1 << b
-    # rank[mask] orders parent masks as _Best orders their index tuples.
+    # rank[mask] orders parent masks as their lists of parent indices compare,
+    # so the running best (total, *rank[masks]) compares like (total, encoding).
     order = sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
     rank = np.empty(1 << n, dtype=np.int64)
     rank[order] = np.arange(1 << n)
-    best = _Best()
+    best: tuple = (np.inf,)
     enumerated = 0
     for e, level in _forest_levels(n):
         template = _orientation_template(e)
@@ -219,16 +205,15 @@ def exact_optimal_polytree(
                     total += terms[v]
                 enumerated += int(np.count_nonzero(total < np.inf))
                 low = float(total.min())
-                if low <= best.score:
-                    masks = cells[:, total == low] - offsets
+                if low <= best[0]:
+                    ranks = rank[cells[:, total == low] - offsets]
                     # The smallest encoding among the tied rows: lexsort's
                     # last key, node 0, is its primary one.
-                    row = np.lexsort(rank[masks[::-1]])[0]
-                    best.offer(low, masks[:, row].tolist(), n)
+                    row = np.lexsort(ranks[::-1])[0]
+                    best = min(best, (low, *ranks[:, row].tolist()))
 
-    assert best.parents is not None
-    structure = _structure_of(list(best.parents))
-    return _finish_report(dist, learn_optimal_branching(dist), structure, best.score, enumerated)
+    structure = _structure_of([order[r] for r in best[1:]])
+    return _finish_report(dist, learn_optimal_branching(dist), structure, best[0], enumerated)
 
 
 def _finish_report(
@@ -255,16 +240,6 @@ def _finish_report(
     )
 
 
-def _components_without_edge(
-    n: int, edges: list[tuple[int, int]], skip: tuple[int, int] | None
-) -> list[int]:
-    uf = UnionFind(n)
-    for edge in edges:
-        if edge != skip:
-            uf.union(edge[0], edge[1])
-    return [uf.find(v) for v in range(n)]
-
-
 def _structure_of(parent_masks: list[int]) -> Structure:
     n = len(parent_masks)
     return Structure(n, [tuple(i for i in range(n) if m >> i & 1) for m in parent_masks])
@@ -281,6 +256,41 @@ def _check_k_polytree(structure: Structure, k: int) -> None:
         raise InvariantError(f"local search left the {k}-polytrees: parents {parents}")
 
 
+def _moves(n: int, masks: list[int], k: int):
+    """Yield ``(move, {node: new mask})`` for every k-polytree one move away.
+
+    For each ``cut`` in ``[None, *edges]``: a real cut ``u -> v`` yields
+    ``("remove", u, v)``, then ``("reverse", u, v)`` when ``u`` has room for
+    another parent; then every link ``x -> y`` between two trees of the cut
+    forest, where ``y`` has room, yields ``("add", x, y)`` when nothing was
+    cut and ``("swap", u, v, x, y)`` otherwise. The changes list the cut
+    child first.
+    """
+    edges = [(u, v) for v in range(n) for u in range(n) if masks[v] >> u & 1]
+    for cut in [None, *edges]:
+        cut_masks = list(masks)
+        uf = UnionFind(n)
+        for edge in edges:
+            if edge != cut:
+                uf.union(*edge)
+        comp = [uf.find(x) for x in range(n)]
+        changes: dict[int, int] = {}
+        if cut is not None:
+            u, v = cut
+            cut_masks[v] &= ~(1 << u)
+            changes = {v: cut_masks[v]}
+            yield ("remove", u, v), changes
+            if masks[u].bit_count() < k:
+                yield ("reverse", u, v), {**changes, u: masks[u] | 1 << v}
+        for y in range(n):
+            if cut_masks[y].bit_count() >= k:
+                continue
+            for x in range(n):
+                if comp[x] != comp[y] and (x, y) != cut:
+                    move = ("add", x, y) if cut is None else ("swap", *cut, x, y)
+                    yield move, {**changes, y: cut_masks[y] | 1 << x}
+
+
 def local_search_polytree(
     dist: Distribution,
     k: int,
@@ -290,9 +300,9 @@ def local_search_polytree(
 ) -> SearchReport:
     """Steepest-descent search over k-polytrees.
 
-    Moves: add an edge, remove an edge, reverse an edge, and swap (remove
-    one edge, add another). Each round applies the move with the largest
-    score decrease, requiring an improvement greater than
+    Moves (see ``_moves``): add an edge, remove an edge, reverse an edge, and
+    swap (remove one edge, add another). Each round applies the move with
+    the largest score decrease, requiring an improvement greater than
     ``LOCAL_IMPROVEMENT_EPS``; ties pick the lexicographically smallest move
     encoding. Stops when no move improves or ``budget`` moves were applied.
     The seed defaults to the learned optimal branching; the result never
@@ -314,79 +324,21 @@ def local_search_polytree(
         raise ValidationError("seed structure must be a polytree with indegree <= k")
 
     oracle = dist.oracle
-    parent_masks = [0] * n
-    for child, ps in enumerate(seed_structure.parents):
-        for p in ps:
-            parent_masks[child] |= 1 << p
+    parent_masks = [sum(1 << p for p in ps) for ps in seed_structure.parents]
     terms = [oracle.conditional(v, parent_masks[v]) for v in range(n)]
     evaluated = 0
-    applied = 0
-
-    def current_edges() -> list[tuple[int, int]]:
-        return [
-            (p, c) for c in range(n) for p in range(n) if parent_masks[c] >> p & 1
-        ]
-
-    while applied < budget:
-        edges = current_edges()
-        indegree = [int.bit_count(parent_masks[v]) for v in range(n)]
-        comp_all = _components_without_edge(n, edges, None)
-        best_gain = LOCAL_IMPROVEMENT_EPS
-        best_move: tuple | None = None
-        best_changes: dict[int, int] | None = None
-
-        def consider(move: tuple, changes: dict[int, int]) -> None:
-            nonlocal best_gain, best_move, best_changes, evaluated
+    for _ in range(budget):
+        best = None
+        for move, changes in _moves(n, parent_masks, k):
             evaluated += 1
             gain = sum(terms[v] - oracle.conditional(v, m) for v, m in changes.items())
-            if gain > best_gain or (
-                gain == best_gain and best_move is not None and move < best_move
-            ):
-                best_gain = gain
-                best_move = move
-                best_changes = changes
-
-        for v in range(n):
-            if indegree[v] >= k:
-                continue
-            for u in range(n):
-                if u == v or parent_masks[v] >> u & 1 or comp_all[u] == comp_all[v]:
-                    continue
-                consider(("add", u, v), {v: parent_masks[v] | (1 << u)})
-        for u, v in edges:
-            consider(("remove", u, v), {v: parent_masks[v] & ~(1 << u)})
-        for u, v in edges:
-            if indegree[u] < k:
-                consider(
-                    ("reverse", u, v),
-                    {
-                        v: parent_masks[v] & ~(1 << u),
-                        u: parent_masks[u] | (1 << v),
-                    },
-                )
-        for u, v in edges:
-            comp = _components_without_edge(n, edges, (u, v))
-            for y in range(n):
-                cap = indegree[y] - (1 if y == v else 0)
-                if cap >= k:
-                    continue
-                mask_y = parent_masks[y] & ~(1 << u) if y == v else parent_masks[y]
-                for x in range(n):
-                    if x == y or (x, y) == (u, v) or mask_y >> x & 1:
-                        continue
-                    if comp[x] == comp[y]:
-                        continue
-                    changes = {v: parent_masks[v] & ~(1 << u)}
-                    changes[y] = changes.get(y, parent_masks[y]) | (1 << x)
-                    consider(("swap", u, v, x, y), changes)
-
-        if best_move is None:
+            if gain > LOCAL_IMPROVEMENT_EPS and (best is None or (-gain, move) < best[0]):
+                best = (-gain, move), changes
+        if best is None:
             break
-        assert best_changes is not None
-        for v, mask in best_changes.items():
+        for v, mask in best[1].items():
             parent_masks[v] = mask
             terms[v] = oracle.conditional(v, mask)
-        applied += 1
         _check_k_polytree(_structure_of(parent_masks), k)
 
     structure = _structure_of(parent_masks)

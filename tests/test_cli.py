@@ -277,6 +277,20 @@ class TestVerifyBounds:
         )
         assert doc["passed"] is False
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_tolerance_is_refused(self, workdir, tolerance):
+        doc = run_json(
+            [
+                "verify-bounds",
+                "--dist", str(workdir / "parity3.json"),
+                "--tolerance", tolerance,
+            ],
+            expect_exit=1,
+        )
+        assert doc["kind"] == "error"
+        assert doc["error"]["type"] == "ValidationError"
+        assert "tolerance" in doc["error"]["message"]
+
     def test_learns_the_branching_once(self, workdir, monkeypatch):
         learned = []
 
@@ -395,6 +409,18 @@ class TestGenRandom:
         args = ["gen", "random", "--n", "4", "--seed", "9"]
         assert run(args).output == run(args).output
 
+    @pytest.mark.parametrize("edge_prob", ["nan", "7", "-3"])
+    def test_edge_prob_outside_the_unit_interval_is_refused(self, tmp_path, edge_prob):
+        out = tmp_path / "x.json"
+        doc = run_json(
+            ["gen", "random", "--n", "4", "--edge-prob", edge_prob, "--out", str(out)],
+            expect_exit=1,
+        )
+        assert doc["kind"] == "error"
+        assert doc["error"]["type"] == "ValidationError"
+        assert "edge_prob" in doc["error"]["message"]
+        assert not out.exists()
+
 
 class TestGenCnf:
     def test_dataset_and_sidecar(self, workdir, tmp_path):
@@ -495,6 +521,19 @@ class TestVerifyGadget:
             expect_exit=1,
         )
         assert doc["passed"] is False
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_non_finite_tolerance_is_refused(self, workdir, tolerance):
+        doc = run_json(
+            [
+                "verify-gadget", str(workdir / "single_variable.cnf"),
+                "--tolerance", tolerance,
+            ],
+            expect_exit=1,
+        )
+        assert doc["kind"] == "error"
+        assert doc["error"]["type"] == "ValidationError"
+        assert "tolerance" in doc["error"]["message"]
 
 
 class TestDeterminismAndSchema:

@@ -47,6 +47,44 @@ LEDGER = [
         "80a7a8cc7b0e627e3960e835b7ba102b1593cae358a6de2c5b62aeb0059a8bae",
         {},
     ),
+    # Local search: parity3 stalls on the empty branching at every k; the
+    # random 2-polytree takes moves, and --budget 1 stops after the first.
+    (
+        ["heuristic-polytree", "--dist", "parity3.json", "--k", "1"],
+        0,
+        "6ec6d89509a8a975551c3e47b1d01211684ae3f4748e285ebb1f56f48fae2c81",
+        {},
+    ),
+    (
+        ["heuristic-polytree", "--dist", "parity3.json", "--k", "2"],
+        0,
+        "4a87402bcc723d1e9b195cf6450d9cd31d859719059eb4cb6b04d0fa9d9c381b",
+        {},
+    ),
+    (
+        ["heuristic-polytree", "--dist", "parity3.json", "--k", "3"],
+        0,
+        "59457e0a4305a5090feb2142fcb76525ec27b23bcbd7ecdca523547514fb1a98",
+        {},
+    ),
+    (
+        ["gen", "random", "--n", "6", "--k", "2", "--seed", "3", "--out", "random6.json"],
+        0,
+        "7ce1f375b649e45adcd10de6d2292d6154b8e43a19351477b55f9217ef8c1ace",
+        {"random6.json": "4998dcb57da1c18643ffa6c16f8d790c634dc60210e0c3bc4b4bb61a3cb50be9"},
+    ),
+    (
+        ["heuristic-polytree", "--dist", "random6.json", "--k", "2"],
+        0,
+        "702f9d49c49b7401196489d69a29b5ba72fbdfe530266fa0edf07ad2e65251f2",
+        {},
+    ),
+    (
+        ["heuristic-polytree", "--dist", "random6.json", "--k", "2", "--budget", "1"],
+        0,
+        "c3c0cd81b9fe7ccd1099fc7d139c2252a6e4d250910490d54250026c0ac23e92",
+        {},
+    ),
     (
         ["score", "--dist", "parity3.json", "--structure", "parity3_structure.json"],
         0,
@@ -76,6 +114,12 @@ LEDGER = [
         0,
         "1397fa1d80bc21e425eeeb5d4b84df33ddf0920a538213e76397929ecc02c86c",
         {"parity2.csv": "8474706e06143ae07da24b9ffb591240b3c2c4f6d6f3934f3eca36bc0d2c8fdd"},
+    ),
+    (
+        ["heuristic-polytree", "--data", "parity2.csv", "--k", "2"],
+        0,
+        "2d4c1f77e485f3eea0a202a7eaa388deb3e6df515791d0a2e1ec098914171f63",
+        {},
     ),
     (
         ["gen", "cnf", "single_variable.cnf", "--samples", "20", "--seed", "4"],

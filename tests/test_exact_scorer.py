@@ -15,10 +15,33 @@ from polytreelab.generators import (
     random_polytree_instance,
     xor_tree_family,
 )
-from polytreelab.search import _all_pairs, _Best, exact_optimal_polytree
+from polytreelab.search import _all_pairs, exact_optimal_polytree
 from polytreelab.structure import Structure, UnionFind
 
 KS = (None, 0, 1, 2, 3)
+
+
+class _Best:
+    """Running minimum of (score, parent-set encoding); the encoding lists
+    each node's parent indices in increasing order."""
+
+    __slots__ = ("score", "key", "parents")
+
+    def __init__(self) -> None:
+        self.score = float("inf")
+        self.key: tuple[tuple[int, ...], ...] | None = None
+        self.parents: tuple[int, ...] | None = None
+
+    def offer(self, total: float, parent_masks: list[int], n: int) -> None:
+        if total > self.score:
+            return
+        key = tuple(
+            tuple(i for i in range(n) if parent_masks[v] >> i & 1) for v in range(n)
+        )
+        if total < self.score or (self.key is not None and key < self.key):
+            self.score = total
+            self.key = key
+            self.parents = tuple(parent_masks)
 
 
 def _node_ordered_sum(terms: list[float]) -> float:

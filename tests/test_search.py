@@ -15,6 +15,7 @@ from polytreelab.generators import (
 )
 from polytreelab.search import (
     EXACT_MAX_NODES,
+    LOCAL_IMPROVEMENT_EPS,
     _check_k_polytree,
     exact_optimal_polytree,
     local_search_polytree,
@@ -168,6 +169,97 @@ def test_k_polytree_check_raises_a_structured_error():
     ):
         with pytest.raises(InvariantError, match=f"left the {k}-polytrees"):
             _check_k_polytree(structure, k)
+
+
+def _neighbours(parents: list[frozenset[int]], k: int):
+    """Every labelled move of the local search, found by brute force: each
+    structure one cut (none, or an edge ``u -> v``) plus at most one link
+    ``x -> y`` away that is a polytree within indegree ``k``, with the nodes
+    whose parents change, cut child first. A link that undoes its cut is no
+    move; one that turns the cut edge around is both a reverse and a swap."""
+    n = len(parents)
+    edges = [(u, v) for v in range(n) for u in sorted(parents[v])]
+    for cut in [None, *edges]:
+        base = list(parents)
+        if cut is not None:
+            u, v = cut
+            base[v] = base[v] - {u}
+            yield ("remove", u, v), base, [v]
+        for x in range(n):
+            for y in range(n):
+                if x == y or x in base[y] or (x, y) == cut:
+                    continue
+                linked = list(base)
+                linked[y] = base[y] | {x}
+                found = Structure(n, linked)
+                if not is_polytree(found) or max_indegree(found) > k:
+                    continue
+                changed = [y] if cut is None else list(dict.fromkeys([cut[1], y]))
+                if cut is None:
+                    yield ("add", x, y), linked, changed
+                    continue
+                if (x, y) == cut[::-1]:
+                    yield ("reverse", *cut), linked, changed
+                yield ("swap", *cut, x, y), linked, changed
+
+
+def _reference_local_search(
+    dist: Distribution, k: int, budget: int, seed: Structure
+) -> tuple[Structure, int]:
+    """Steepest descent over ``_neighbours`` from ``seed``: the best
+    structure and the moves evaluated."""
+    n = dist.n
+
+    def term(v: int, ps: frozenset[int]) -> float:
+        return dist.oracle.conditional(v, sum(1 << p for p in ps))
+
+    parents = list(seed.parents)
+    evaluated = 0
+    for _ in range(budget):
+        best = None
+        for move, found, changed in _neighbours(parents, k):
+            evaluated += 1
+            gain = 0.0
+            for v in changed:
+                gain += term(v, parents[v]) - term(v, found[v])
+            if gain > LOCAL_IMPROVEMENT_EPS and (best is None or (-gain, move) < best[0]):
+                best = (-gain, move), found
+        if best is None:
+            break
+        parents = best[1]
+    return Structure(n, parents), max(evaluated, 1)
+
+
+def _copies(n: int) -> Distribution:
+    """X_i = X_0 for every i."""
+    table = np.zeros((2,) * n)
+    table[(0,) * n] = table[(1,) * n] = 0.5
+    return Distribution([VariableMeta(f"X{i}", 2) for i in range(n)], table)
+
+
+LOCAL_JOINTS = {
+    "parity2": lambda: parity_fixture("parity2")[0],
+    "parity3": lambda: parity_fixture("parity3")[0],
+    "copies4": lambda: _copies(4),
+    "copies5": lambda: _copies(5),
+    "random4": lambda: random_joint_distribution([2, 3, 2, 2], seed=41),
+    "random5": lambda: random_joint_distribution([2, 2, 2, 2, 2], seed=51),
+    "polytree5": lambda: random_polytree_instance(5, 2, 2, seed=5)[0],
+    "polytree6": lambda: random_polytree_instance(6, 2, 2, seed=6)[0],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(LOCAL_JOINTS))
+def test_local_search_matches_the_brute_force_descent(name, k):
+    # From the empty seed every copy is one tied add away, so the tie rule
+    # decides each round on the all-copies joints.
+    dist = LOCAL_JOINTS[name]()
+    for seed in (learn_optimal_branching(dist), Structure.empty(dist.n)):
+        for budget in (0, 1, 1000):
+            report = local_search_polytree(dist, k, seed, budget=budget)
+            expected = _reference_local_search(dist, k, budget, seed)
+            assert (report.best, report.instances_enumerated) == expected, (seed, budget)
 
 
 def _dense_joint(gadget: CompiledGadget) -> Distribution:
