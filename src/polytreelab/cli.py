@@ -521,6 +521,8 @@ def gen_random_cmd(n, k, arity, seed, edge_prob, max_states, out, structure_out)
 )
 def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
     """Compile a restricted CNF into its layered hard distribution."""
+    if samples < 0:
+        raise ValidationError(f"--samples must be >= 0, got {samples}")
     if samples > 0 and out is not None:
         write_dataset_csv(compiled.sample_dataset(samples, seed), out)
     if arities_out is not None:

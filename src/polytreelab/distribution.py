@@ -425,11 +425,19 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
+    """Names through ``csv.writer`` (they may need quoting), then the body in
+    one join. A ``Dataset`` holds non-negative ints, whose CSV field is their
+    decimal string, so each cell is looked up in a per-value table of those
+    strings followed by the cell's separator: a comma, or a newline in the
+    last column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([m.name for m in dataset.variables])
-        for row in dataset.rows:
-            writer.writerow([int(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow([m.name for m in dataset.variables])
+        if dataset.n_rows:
+            text = [str(v) for v in range(int(dataset.rows.max()) + 1)]
+            cells = np.array([[t + "," for t in text], [t + "\n" for t in text]], dtype=object)
+            n = len(dataset.variables)
+            last = (np.arange(n) == n - 1).astype(np.intp)
+            fh.write("".join(cells[last, dataset.rows].ravel().tolist()))
 
 
 def _json_arity(path: str, name: object, arity: object) -> int:

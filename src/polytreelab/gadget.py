@@ -36,7 +36,14 @@ the only attractive option. This expansion is off by default.
 Full joints over all coins are astronomically large, so the compiled
 object is a sampler plus an exact ``EntropyOracle`` (``oracle``) whose
 backend enumerates only the ancestor coins of the queried nodes, in
-ascending node order.
+ascending node order. The ``c`` coins of a query span a broadcast grid of
+``2^c`` cells: each coin is a two-cell view on its own axis, each node's
+value is computed over its own coins and broadcast into one full-size key,
+and only the key and the cell probabilities take ``2^c`` entries. The
+probabilities are the same left-to-right products, summed in the same flat
+order, as an enumeration with a full bit array per coin, so the entropies
+carry the same bits. Queries over more than ``ENTROPY_QUERY_MAX_COINS``
+coins are refused.
 """
 
 from __future__ import annotations
@@ -280,6 +287,9 @@ class CompiledGadget:
 
     @staticmethod
     def _node_values(node: GadgetNode, bits: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The node's value from its coins' bits. The bits may be full
+        columns or views that broadcast against each other; the result has
+        their broadcast shape."""
         if node.kind == "clause":
             return bits[node.coins[0]].astype(np.int64)
         if node.kind == "satellite":
@@ -288,13 +298,13 @@ class CompiledGadget:
             for t in range(copies):
                 a = bits[node.coins[1 + t]]
                 b = bits[node.coins[1 + copies + t]]
-                value |= (np.int64(1) << (t + 1)) * (a ^ b)
+                value = value | (np.int64(1) << (t + 1)) * (a ^ b)
             return value
         if node.kind == "blocker":
-            value = np.zeros_like(bits[node.coins[0]], dtype=np.int64)
-            for t, name in enumerate(node.coins):
-                value |= (np.int64(1) << t) * bits[name].astype(np.int64)
-            return value
+            return sum(
+                (np.int64(1) << t) * bits[name].astype(np.int64)
+                for t, name in enumerate(node.coins)
+            )
         if node.kind == "principal":
             ca, cb, cc, r, w, prev, nxt = (bits[name] for name in node.coins)
             g1 = (ca ^ cb).astype(np.int64)
@@ -306,31 +316,40 @@ class CompiledGadget:
 
     def _coin_entropy(self, mask: int) -> float:
         """Oracle backend: joint entropy of the nodes in ``mask``, taken in
-        ascending node order, by enumerating only their ancestor coins."""
+        ascending node order, by enumerating only their ancestor coins.
+
+        The ``c`` coins, sorted by name, span a grid of ``2^c`` cells whose
+        C-order flat index holds coin ``pos`` at bit ``pos``. Coin ``pos`` is
+        the two-cell view ``[0, 1]`` on axis ``c - 1 - pos``, so each node's
+        value is computed over its own coins only and broadcast into the one
+        full-size key. The probabilities grow coin by coin in sorted order,
+        each cell a left-to-right product of its coins' factors, and
+        ``np.bincount`` sums them in flat-index order: cell values and
+        summation order match a walk over the flat index with a full bit
+        array per coin, so every entropy keeps its bits.
+        """
         node_list = [node for i, node in enumerate(self.nodes) if mask >> i & 1]
         coin_names = sorted({c for node in node_list for c in node.coins})
-        if len(coin_names) > ENTROPY_QUERY_MAX_COINS:
+        c = len(coin_names)
+        if c > ENTROPY_QUERY_MAX_COINS:
             raise CapExceededError(
-                f"entropy query spans {len(coin_names)} coins, cap is "
-                f"{ENTROPY_QUERY_MAX_COINS}",
+                f"entropy query spans {c} coins, cap is {ENTROPY_QUERY_MAX_COINS}",
                 constraint="entropy_query_max_coins",
             )
-        count = 1 << len(coin_names)
-        index = np.arange(count, dtype=np.int64)
-        bits = {
-            name: ((index >> pos) & 1).astype(np.int64)
-            for pos, name in enumerate(coin_names)
-        }
-        probs = np.ones(count, dtype=np.float64)
+        probs = np.ones(1)
         for name in coin_names:
             bias = self.coin_biases[name]
-            probs *= np.where(bits[name] == 1, bias, 1.0 - bias)
-        key = np.zeros(count, dtype=np.int64)
+            probs = np.concatenate((probs * (1.0 - bias), probs * bias))
+        bits = {
+            name: np.arange(2).reshape((1,) * (c - 1 - pos) + (2,) + (1,) * pos)
+            for pos, name in enumerate(coin_names)
+        }
+        key = np.zeros((2,) * c, dtype=np.int64)
         radix = 1
         for node in node_list:
             key += self._node_values(node, bits) * radix
             radix *= node.arity
-        masses = np.bincount(key, weights=probs, minlength=radix)
+        masses = np.bincount(key.ravel(), weights=probs, minlength=radix)
         occupied = masses[masses > 1e-300]
         return float(-(occupied * np.log2(occupied)).sum())
 
@@ -408,10 +427,7 @@ class CompiledGadget:
         if num_rows < 1:
             raise ValidationError(f"num_rows must be >= 1, got {num_rows}")
         rng = np.random.Generator(np.random.PCG64(seed))
-        bits = {
-            name: (rng.random(num_rows) < bias).astype(np.int64)
-            for name, bias in self.coin_biases.items()
-        }
+        bits = {name: rng.random(num_rows) < bias for name, bias in self.coin_biases.items()}
         columns = [self._node_values(node, bits) for node in self.nodes]
         return Dataset(self.variables, np.stack(columns, axis=1))
 

@@ -465,6 +465,20 @@ class TestGenCnf:
         )
         assert doc["kind"] == "error"
 
+    def test_negative_samples_are_refused(self, workdir, tmp_path):
+        out = tmp_path / "neg.csv"
+        doc = run_json(
+            [
+                "gen", "cnf", str(workdir / "single_variable.cnf"),
+                "--samples", "-3",
+                "--out", str(out),
+            ],
+            expect_exit=1,
+        )
+        assert doc["error"]["type"] == "ValidationError"
+        assert "--samples" in doc["error"]["message"]
+        assert not out.exists()
+
 
 class TestVerifyGadget:
     def test_corpus_file_passes(self, workdir):

@@ -128,6 +128,18 @@ LEDGER = [
         {},
     ),
     (
+        [
+            "gen", "cnf", "two_variable.cnf",
+            "--blockers",
+            "--samples", "200",
+            "--seed", "4",
+            "--out", "two.csv",
+        ],
+        0,
+        "55e8795b352baf010afe28511d550ed70ec8145be5efbe240aa48332642e6ed4",
+        {"two.csv": "bbab5fca0068ee14e1dc0d245582d3f488a0d3056d6142aa31499d13a2245d0b"},
+    ),
+    (
         ["verify-gadget", "single_variable.cnf", "--blockers"],
         0,
         "aaf3d6cdcdb53b08b963b40ce3f4c963d91f29e94786980293c666a0edd44340",

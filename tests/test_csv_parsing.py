@@ -1,15 +1,24 @@
-"""The numpy body parser against the reference row loop of ``read_dataset_csv``."""
+"""The numpy body parser against the reference row loop of ``read_dataset_csv``,
+and the one-join body of ``write_dataset_csv`` against a ``csv.writer`` loop."""
 
+import csv
 import json
 import os
 import tempfile
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytreelab import distribution
-from polytreelab.distribution import read_arity_sidecar, read_dataset_csv
+from polytreelab.distribution import (
+    Dataset,
+    VariableMeta,
+    read_arity_sidecar,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 
 NAMES = ("A", "B", "C")
 
@@ -73,3 +82,44 @@ def test_numpy_path_matches_row_loop(doc):
         with mock.patch.object(distribution, "_read_body_numpy", return_value=None):
             reference = _outcome(path, arities)
     assert fast == reference
+
+
+def _csv_writer_reference(dataset, path):
+    """The row-by-row ``csv.writer`` loop ``write_dataset_csv`` ran before."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([m.name for m in dataset.variables])
+        for row in dataset.rows:
+            writer.writerow([int(v) for v in row])
+
+
+NAME = st.text(alphabet='ab, "', min_size=1, max_size=5).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def datasets(draw):
+    names = draw(st.lists(NAME, min_size=1, max_size=6, unique=True))
+    arities = [draw(st.integers(min_value=1, max_value=1000)) for _ in names]
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=a - 1) for a in arities]),
+            max_size=60,
+        )
+    )
+    metas = [VariableMeta(name, arity) for name, arity in zip(names, arities)]
+    return Dataset(metas, np.array(rows, dtype=np.int64).reshape(len(rows), len(names)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets())
+def test_writer_matches_csv_writer_and_reads_back(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = os.path.join(tmp, "d.csv"), os.path.join(tmp, "r.csv")
+        write_dataset_csv(dataset, path)
+        _csv_writer_reference(dataset, reference)
+        with open(path, "rb") as fh, open(reference, "rb") as ref:
+            assert fh.read() == ref.read()
+        back = read_dataset_csv(path, {m.name: m.arity for m in dataset.variables})
+    assert back.variables == dataset.variables
+    assert back.rows.shape == dataset.rows.shape
+    assert (back.rows == dataset.rows).all()
