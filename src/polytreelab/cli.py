@@ -523,7 +523,9 @@ def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
     """Compile a restricted CNF into its layered hard distribution."""
     if samples < 0:
         raise ValidationError(f"--samples must be >= 0, got {samples}")
-    if samples > 0 and out is not None:
+    if samples > 0 and out is None:
+        raise ValidationError(f"--samples {samples} needs --out: sampled rows go to a dataset CSV")
+    if samples > 0:
         write_dataset_csv(compiled.sample_dataset(samples, seed), out)
     if arities_out is not None:
         with open(arities_out, "w", encoding="utf-8") as fh:

@@ -16,9 +16,21 @@ right in node order, the same float additions as Python 3.11's
 is finite. The result is the minimum of (total, parent-set encoding), with
 ties broken toward the lexicographically smallest encoding; that minimum
 does not depend on visit order, so each chunk offers only its rows at the
-chunk minimum. The search runs in one process; beyond the table, its memory
-is the arrays of one chunk plus the 8-bit forests and component labels of
-the level being scored and of the next one while it grows.
+chunk minimum.
+
+The search starts from the learned branching's key, read from the same
+table, and prunes by a bound before it scores: ``least[v, nbrs]`` is the
+least ``cond[v, P]`` over ``P ⊆ nbrs``, and a forest's bound adds
+``least[v, nbrs_v]`` over its nodes' neighbour masks in node order, as the
+totals are added. Float addition is monotone, so no orientation of the
+forest totals less; forests bounded above the best so far are dropped
+unscored, while a bound equal to it keeps its forest, so ties and the
+result are those of the full enumeration. ``instances_enumerated`` is the
+size of the search space, ``polytree_count(n, k)`` in closed form, not the
+number of orientations scored. The search runs in one process; beyond the
+table, its memory is the arrays of one chunk plus the 8-bit forests and
+component labels of the level being scored and of the next one while it
+grows.
 
 ``local_search_polytree`` is a steepest-descent heuristic; it never worsens
 its seed but can stall at local minima (parity-style distributions defeat
@@ -40,7 +52,9 @@ with ``n``, ``variables`` and ``oracle``: a ``Distribution`` or a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -144,6 +158,82 @@ def _forest_levels(n: int):
         level = grown
 
 
+def _node_ordered_total(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``terms`` over its first axis (one row per node), added left
+    to right in node order from 0.0: the additions of Python 3.11's
+    ``sum(terms)``, so totals and their ties match the scalar walk exactly."""
+    total = terms[0] + 0.0
+    for row in terms[1:]:
+        total += row
+    return total
+
+
+def _least_over_subsets(cond: np.ndarray) -> np.ndarray:
+    """``least[v, mask]``, the least ``cond[v, P]`` over every ``P ⊆ mask``,
+    by one subset-min pass per bit; NaN where ``v`` is in ``mask``.
+
+    An orientation gives ``v`` a parent set among its forest neighbours
+    ``nbrs``, so its term is at least ``least[v, nbrs]``, and since float
+    addition is monotone in each argument its node-ordered total is at
+    least the node-ordered sum of those bounds.
+    """
+    least = cond.copy()
+    n = len(cond)
+    for i in range(n):
+        # Masks as (high bits, bit i, low bits): [:, :, 1] have bit i set.
+        halves = least.reshape(n, -1, 2, 1 << i)
+        np.minimum(halves[:, :, 1], halves[:, :, 0], out=halves[:, :, 1])
+    return least
+
+
+def _forest_bounds(
+    forests: np.ndarray, neighbours: np.ndarray, least: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Lower bound on every orientation's total, per forest: the node-ordered
+    sum of ``least[v, nbrs_v]`` over each node's neighbour mask, where
+    ``neighbours[v, p]`` is the bit pair ``p`` gives ``v`` and ``least`` is
+    the raveled ``_least_over_subsets`` table."""
+    nbrs = np.repeat(offsets, len(forests), axis=1)
+    for j in range(forests.shape[1]):
+        nbrs += neighbours[:, forests[:, j]]
+    return _node_ordered_total(least.take(nbrs))
+
+
+@functools.cache
+def _hung(r: int, room: int, k: int) -> int:
+    """Ways to hang oriented trees on ``r`` labelled nodes below a root that
+    may take ``room`` more parents, every node keeping at most ``k``: the
+    block holding the smallest label has ``s`` nodes and any of them as its
+    top, whose edge to the root points up (taking room) or down (taking one
+    of the top's own ``k``)."""
+    if room < 0:
+        return 0
+    if r == 0:
+        return 1
+    return sum(
+        comb(r - 1, s - 1)
+        * s
+        * (
+            _hung(s - 1, k, k) * _hung(r - s, room - 1, k)
+            + _hung(s - 1, k - 1, k) * _hung(r - s, room, k)
+        )
+        for s in range(1, r + 1)
+    )
+
+
+@functools.cache
+def polytree_count(n: int, k: int) -> int:
+    """Polytrees on ``n`` labelled nodes with at most ``k`` parents per node:
+    the orientations within the bound of every forest, the size of the
+    exact search space. A forest splits into the tree of its smallest label,
+    of ``s`` nodes rooted there, and a forest on the rest."""
+    if n == 0:
+        return 1
+    return sum(
+        comb(n - 1, s - 1) * _hung(s - 1, k, k) * polytree_count(n - s, k) for s in range(1, n + 1)
+    )
+
+
 def exact_optimal_polytree(
     dist: Distribution,
     k: int | None = None,
@@ -152,6 +242,13 @@ def exact_optimal_polytree(
 ) -> SearchReport:
     """Global minimum-score polytree with indegree bound ``k`` (None for
     unbounded), found by exhaustive enumeration.
+
+    A forest is scored only if its lower bound, the node-ordered sum of
+    each node's least conditional over subsets of its neighbours, is at
+    most the best total so far, which starts at the learned branching's;
+    the result and its bits are those of scoring every orientation.
+    ``instances_enumerated`` counts the polytrees within the bound, the
+    size of the search space, not the orientations scored.
 
     Refuses more than ``max_nodes`` variables; raise the cap explicitly if
     you accept the exponential running time. The search runs in one
@@ -170,7 +267,8 @@ def exact_optimal_polytree(
             raise ValidationError(f"indegree bound k must be >= 0, got {k}")
         k_eff = min(k, n - 1)
 
-    flat = _conditional_table(dist.oracle, n, k_eff).ravel()
+    cond = _conditional_table(dist.oracle, n, k_eff)
+    flat, least = cond.ravel(), _least_over_subsets(cond).ravel()
     offsets = (np.arange(n) << n)[:, None]
     # Pair p = (a, b) adds 2^a to node b's mask when it runs a -> b
     # (weights[b, p, 0]) and 2^b to node a's when it runs b -> a (weights[a, p, 1]).
@@ -178,32 +276,33 @@ def exact_optimal_polytree(
     for p, (a, b) in enumerate(_all_pairs(n)):
         weights[b, p, 0] = 1 << a
         weights[a, p, 1] = 1 << b
+    neighbours = weights.sum(axis=2).astype(np.intp)
     # rank[mask] orders parent masks as their lists of parent indices compare,
     # so the running best (total, *rank[masks]) compares like (total, encoding).
     order = sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
     rank = np.empty(1 << n, dtype=np.int64)
     rank[order] = np.arange(1 << n)
-    best: tuple = (np.inf,)
-    enumerated = 0
+    # The branching is one of the orientations scored below, or totals +inf
+    # when k = 0 and it has an edge, so starting from its key changes no
+    # minimum and bounds the search from the first forest on.
+    branching = learn_optimal_branching(dist)
+    masks = [sum(1 << p for p in ps) for ps in branching.parents]
+    branching_total = _node_ordered_total(flat.take(offsets[:, 0] + masks))
+    best: tuple = (float(branching_total), *rank[masks].tolist())
     for e, level in _forest_levels(n):
         template = _orientation_template(e)
         step = max(1, BATCH_ROWS >> e)
-        for chunk in level:
-            for s in range(0, len(chunk), step):
-                forests = chunk[s : s + step]
+        for forests in (c[i : i + BATCH_ROWS] for c in level for i in range(0, len(c), BATCH_ROWS)):
+            # A forest bounded above the best so far cannot win; ties stay.
+            forests = forests[_forest_bounds(forests, neighbours, least, offsets) <= best[0]]
+            for s in range(0, len(forests), step):
+                rows = forests[s : s + step]
                 # The masks are sums of distinct powers of two below 2^n, so
                 # the float matmul is exact.
-                w = weights[:, forests].reshape(n * len(forests), 2 * e)
-                cells = (w @ template).reshape(n, len(forests) << e).astype(np.intp)
+                w = weights[:, rows].reshape(n * len(rows), 2 * e)
+                cells = (w @ template).reshape(n, len(rows) << e).astype(np.intp)
                 cells += offsets
-                terms = flat.take(cells)
-                # Node order, left to right from 0.0: the additions of Python
-                # 3.11's sum(terms), so totals and their ties match the scalar
-                # walk exactly.
-                total = terms[0] + 0.0
-                for v in range(1, n):
-                    total += terms[v]
-                enumerated += int(np.count_nonzero(total < np.inf))
+                total = _node_ordered_total(flat.take(cells))
                 low = float(total.min())
                 if low <= best[0]:
                     ranks = rank[cells[:, total == low] - offsets]
@@ -213,7 +312,7 @@ def exact_optimal_polytree(
                     best = min(best, (low, *ranks[:, row].tolist()))
 
     structure = _structure_of([order[r] for r in best[1:]])
-    return _finish_report(dist, learn_optimal_branching(dist), structure, best[0], enumerated)
+    return _finish_report(dist, branching, structure, best[0], polytree_count(n, k_eff))
 
 
 def _finish_report(

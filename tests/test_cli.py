@@ -479,6 +479,15 @@ class TestGenCnf:
         assert "--samples" in doc["error"]["message"]
         assert not out.exists()
 
+    def test_samples_without_out_are_refused(self, workdir):
+        doc = run_json(
+            ["gen", "cnf", str(workdir / "single_variable.cnf"), "--samples", "5"],
+            expect_exit=1,
+        )
+        assert doc["error"]["type"] == "ValidationError"
+        assert "--samples" in doc["error"]["message"]
+        assert "--out" in doc["error"]["message"]
+
 
 class TestVerifyGadget:
     def test_corpus_file_passes(self, workdir):

@@ -103,6 +103,25 @@ LEDGER = [
         "7a806bf302d9e67c76e502e4610dd34c222f7294c1f1a605615dedd3142cb7ba",
         {},
     ),
+    # Seven nodes, the exact search's cap: the bound prunes most forests.
+    (
+        ["gen", "random", "--n", "7", "--k", "2", "--seed", "11", "--out", "random7.json"],
+        0,
+        "f201d6e7b2b8065469c80b3cd893425ddb2708caadd2c96d9bad348a3b3cee95",
+        {"random7.json": "e2ce179ef76a3131403172ec0fb08d0d5097065e3e4a4243bdb2d4f05aa1ee06"},
+    ),
+    (
+        ["exact-polytree", "--dist", "random7.json", "--k", "2"],
+        0,
+        "a66451f2d1a8bb01d2fe90a221e28d4c1d5e0d9d69525c41334d9cf581ef30e9",
+        {},
+    ),
+    (
+        ["exact-polytree", "--dist", "random7.json"],
+        0,
+        "c6ade433f6c14d54d6256fdb3c2da16d14aface17fc656fcfa57cf5eb5afd050",
+        {},
+    ),
     (
         ["gen", "xor-tree", "--depth", "2", "--eps", "0.3"],
         0,
@@ -123,8 +142,8 @@ LEDGER = [
     ),
     (
         ["gen", "cnf", "single_variable.cnf", "--samples", "20", "--seed", "4"],
-        0,
-        "6bfe8e49b5bd2380ed84097ffabf19b39fcd80aee7bcdbe53d370ba516419e7b",
+        1,
+        "18f3922a91f7b4f3fbc97a1cfb9f96b70fe75d381a2b0db616a988ef84dddb55",
         {},
     ),
     (

@@ -1,12 +1,15 @@
-"""The level-vectorised exact search against the scalar Gray-code walk,
-kept here as the reference, plus its orientation counts, oracle queries and
-peak memory."""
+"""The pruned level-vectorised exact search against the scalar Gray-code
+walk, kept here as the reference, plus its closed-form orientation count,
+oracle queries and peak memory."""
 
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polytreelab.distribution import Distribution, EntropyOracle, VariableMeta
 from polytreelab.generators import (
@@ -15,7 +18,13 @@ from polytreelab.generators import (
     random_polytree_instance,
     xor_tree_family,
 )
-from polytreelab.search import _all_pairs, exact_optimal_polytree
+from polytreelab.search import (
+    _all_pairs,
+    _forest_levels,
+    _orientation_template,
+    exact_optimal_polytree,
+    polytree_count,
+)
 from polytreelab.structure import Structure, UnionFind
 
 KS = (None, 0, 1, 2, 3)
@@ -138,6 +147,22 @@ def _uniform(n: int) -> Distribution:
     return _binary(np.full((2,) * n, 0.5**n))
 
 
+def _coin_and_parity() -> Distribution:
+    """X0 a coin with P(1) = 0.07, X1 and X2 fair, X3 = X1 xor X2.
+
+    The winner, X0, X1, X2 -> X3, has three edges and ties the two-edge
+    X1, X2 -> X3 bit for bit, and its forest's bound equals its total when
+    added in node order but not in reverse: a prune that drops forests
+    bounded at the best so far, or that adds the bound in another order
+    than the totals, loses it at k = 3 and unbounded.
+    """
+    heads = 0.07
+    table = np.zeros((2,) * 4)
+    for x0, x1, x2 in product((0, 1), repeat=3):
+        table[x0, x1, x2, x1 ^ x2] = (heads if x0 else 1 - heads) * 0.25
+    return _binary(table)
+
+
 JOINTS = {
     "parity2": lambda: parity_fixture("parity2")[0],
     "parity3": lambda: parity_fixture("parity3")[0],
@@ -145,6 +170,7 @@ JOINTS = {
     "copies3": lambda: _copies(3),
     "copies5": lambda: _copies(5),
     "copies6": lambda: _copies(6),
+    "coin-and-parity": _coin_and_parity,
     "uniform4": lambda: _uniform(4),
     "uniform5": lambda: _uniform(5),
     "random5": lambda: random_joint_distribution([2, 3, 2, 4, 2], seed=5),
@@ -171,9 +197,78 @@ def test_rerun_is_identical_under_many_ties():
         assert exact_optimal_polytree(dist, k) == exact_optimal_polytree(dist, k)
 
 
+# Small integer weights give many zero and equal cells, so independent,
+# copied and tied variables are common.
+tie_heavy_joints = (
+    st.lists(st.integers(2, 3), min_size=2, max_size=6)
+    .filter(lambda arities: prod(arities) <= 96)
+    .flatmap(
+        lambda arities: st.lists(
+            st.integers(0, 3), min_size=prod(arities), max_size=prod(arities)
+        )
+        .filter(any)
+        .map(lambda weights: _weighted(arities, weights))
+    )
+)
+random_joints = st.builds(
+    random_joint_distribution,
+    st.lists(st.integers(2, 3), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _weighted(arities, weights) -> Distribution:
+    table = np.array(weights, dtype=float).reshape(arities)
+    return Distribution(
+        [VariableMeta(f"X{i}", a) for i, a in enumerate(arities)], table / table.sum()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_joints, tie_heavy_joints), st.sampled_from(KS))
+def test_pruned_search_equals_the_scalar_walk(dist, k):
+    report = exact_optimal_polytree(dist, k)
+    best, best_bits, scored = reference_exact(dist, k)
+    assert report.best == best
+    assert report.best_score_bits == best_bits
+    assert report.instances_enumerated == scored
+
+
+def _orientations_by_max_indegree(n: int) -> np.ndarray:
+    """How many orientations of all forests on ``n`` nodes have each largest
+    in-degree, counted from the enumerator's forests and templates."""
+    # Row 2j of a template sets edge j to run a -> b, so b gains a parent;
+    # row 2j + 1 runs it b -> a.
+    gainers = np.array(_all_pairs(n), dtype=np.intp).reshape(-1, 2)[:, ::-1]
+    counts = np.zeros(n, dtype=np.int64)
+    for e, level in _forest_levels(n):
+        template = _orientation_template(e).astype(np.int64)
+        for forests in level:
+            ends = gainers[forests.astype(np.intp)].reshape(len(forests), 2 * e)
+            indegree = np.eye(n, dtype=np.int64)[ends].transpose(0, 2, 1) @ template
+            counts += np.bincount(indegree.max(axis=1, initial=0).ravel(), minlength=n)
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_count_equals_the_enumeration(n):
+    """Every bound k < n, the last being the unbounded search's."""
+    at_most = np.cumsum(_orientations_by_max_indegree(n))
+    for k in range(n):
+        assert polytree_count(n, k) == at_most[k], k
+
+
+@pytest.mark.parametrize(
+    "n, k, count", [(7, 2, 1_375_564), (7, 6, 1_598_955), (8, 2, 40_049_361)]
+)
+def test_closed_form_count_of_larger_spaces(n, k, count):
+    assert polytree_count(n, k) == count
+
+
 @pytest.mark.parametrize("k, count", [(2, 1_375_564), (None, 1_598_955)])
 def test_orientations_scored_at_seven_nodes(k, count):
-    """Orientations within the bound depend only on (n, k)."""
+    """The reported count is the size of the search space, whatever the
+    bound prunes."""
     dist = random_joint_distribution([2] * 7, seed=7)
     assert exact_optimal_polytree(dist, k).instances_enumerated == count
 
