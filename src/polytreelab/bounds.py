@@ -44,6 +44,7 @@ from .structure import (
     count_sources_and_multiparents,
     is_branching,
     is_polytree,
+    node_ordered_total,
     score,
     skeleton_components,
 )
@@ -104,14 +105,14 @@ def charge_report(dist: Distribution, structure: Structure) -> ChargeReport:
     breakdown = score(dist, structure)
     residual = breakdown.per_node_bits
     subtrees = [_ancestor_closure(structure, z) for z in range(structure.n)]
-    subtree_residual = [sum(residual[x] for x in nodes) for nodes in subtrees]
+    subtree_residual = [node_ordered_total([residual[x] for x in nodes]) for nodes in subtrees]
     u_bits, l_bits = entropy_range(dist)
     per_node = []
     for z in range(structure.n):
         parents = sorted(structure.parents[z])
         if len(parents) >= 2:
             parts = [subtree_residual[y] for y in parents]
-            charge = sum(parts) - max(parts)
+            charge = node_ordered_total(parts) - max(parts)
         else:
             charge = 0.0
         per_node.append(
@@ -172,7 +173,7 @@ def _subtree_rows(
     l_bits = report.min_node_entropy_bits
     for z in nodes:
         info = report.per_node[z]
-        charge_sum = sum(report.per_node[x].charge_bits for x in info.subtree_nodes)
+        charge_sum = node_ordered_total([report.per_node[x].charge_bits for x in info.subtree_nodes])
         rhs = 0.5 * info.subtree_residual_bits * math.log2(len(info.subtree_nodes))
         rows.append(
             SubtreeCheck(
@@ -184,7 +185,8 @@ def _subtree_rows(
             )
         )
         if include_capped and l_bits > MIN_ENTROPY_EPS:
-            capped_sum = sum(report.per_node[x].capped_charge_bits for x in info.subtree_nodes)
+            capped = [report.per_node[x].capped_charge_bits for x in info.subtree_nodes]
+            capped_sum = node_ordered_total(capped)
             factor = 2.5 + 0.5 * math.log2(u_bits / l_bits)
             rhs_capped = factor * info.subtree_residual_bits
             rows.append(

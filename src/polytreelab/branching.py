@@ -7,14 +7,16 @@ A branching (each node has at most one parent, skeleton acyclic) scores
 so minimizing the score is the same as picking a maximum-weight forest of
 the pairwise mutual-information graph; the orientation of each tree is
 irrelevant to the score. ``learn_optimal_branching`` does exactly that with
-a deterministic Kruskal sweep; ``brute_force_branching`` enumerates every
-branching outright and is kept as the independent oracle for tests.
+a deterministic Kruskal sweep over the edges (``branching_from_edges``);
+``brute_force_branching`` enumerates every branching outright and is kept
+as the independent oracle for tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .distribution import Distribution, conditional_entropy, entropy, mutual_information
 from .errors import CapExceededError, ValidationError
@@ -75,22 +77,27 @@ def _orient_forest(n: int, chosen: list[tuple[int, int]]) -> Structure:
     return Structure(n, parents)
 
 
-def learn_optimal_branching(dist: Distribution) -> Structure:
-    """A branching minimizing the score, learned in O(n^2 log n).
+def branching_from_edges(n: int, edges: Iterable[WeightedEdge]) -> Structure:
+    """The maximum-weight forest of ``edges`` on ``n`` nodes, as a branching.
 
     Deterministic: candidate edges are sorted by (weight descending, then
     (a, b) ascending), edges with weight <= ``OMEGA`` are dropped, and each
-    resulting tree is rooted at its minimum node index. With all-independent
-    variables this returns the empty structure.
+    resulting tree is rooted at its minimum node index.
     """
-    edges = [e for e in mutual_information_edges(dist) if e.weight > OMEGA]
-    edges.sort(key=lambda e: (-e.weight, e.a, e.b))
-    uf = UnionFind(dist.n)
+    uf = UnionFind(n)
     chosen: list[tuple[int, int]] = []
-    for e in edges:
+    for e in sorted((e for e in edges if e.weight > OMEGA), key=lambda e: (-e.weight, e.a, e.b)):
         if uf.union(e.a, e.b):
             chosen.append((e.a, e.b))
-    return _orient_forest(dist.n, chosen)
+    return _orient_forest(n, chosen)
+
+
+def learn_optimal_branching(dist: Distribution) -> Structure:
+    """A branching minimizing the score, learned in O(n^2 log n): the
+    ``branching_from_edges`` of the pairwise mutual informations. With
+    all-independent variables this returns the empty structure.
+    """
+    return branching_from_edges(dist.n, mutual_information_edges(dist))
 
 
 def brute_force_branching(dist: Distribution) -> Structure:

@@ -280,15 +280,13 @@ def main() -> None:
 @_structure_out
 def learn_branching_cmd(dist):
     """Learn the maximum-likelihood branching of the input joint."""
-    structure = branching_mod.learn_optimal_branching(dist)
+    edges = branching_mod.mutual_information_edges(dist)
+    structure = branching_mod.branching_from_edges(dist.n, edges)
     names = list(dist.names)
     doc = {
         "kind": "learn-branching",
         **_structure_and_score(dist, structure),
-        "edges": [
-            {"a": names[e.a], "b": names[e.b], "mi_bits": e.weight}
-            for e in branching_mod.mutual_information_edges(dist)
-        ],
+        "edges": [{"a": names[e.a], "b": names[e.b], "mi_bits": e.weight} for e in edges],
     }
     return doc, structure
 
@@ -405,8 +403,22 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
     polytree_bits, ratio) rows; otherwise it emits one distribution JSON.
     A row's polytree_bits is the score of the generating polytree, not of
     the optimal one, so its ratio is a lower bound on branching/optimal.
+    A sweep refuses the options it would ignore: ``--depth`` with
+    ``--max-depth``, ``--structure-out``, and ``--out`` without
+    ``--format csv``.
     """
     if fmt == "csv" or max_depth is not None:
+        ignored = [
+            option
+            for option, given in (
+                ("--depth with --max-depth", depth is not None and max_depth is not None),
+                ("--structure-out", structure_out is not None),
+                ("--out with --format json", out is not None and fmt == "json"),
+            )
+            if given
+        ]
+        if ignored:
+            raise ValidationError(f"a depth sweep cannot honour {', '.join(ignored)}")
         top = max_depth if max_depth is not None else (depth if depth else 3)
         rows = []
         for d in range(1, top + 1):

@@ -55,13 +55,18 @@ class CnfFormula:
                     )
                 seen.add(var)
                 (positive if lit > 0 else negative)[var].append(idx)
+        table = []
         for var in range(1, self.num_vars + 1):
-            pos, neg = len(positive[var]), len(negative[var])
-            if pos + neg != 3 or min(pos, neg) != 1:
+            pos, neg = positive[var], negative[var]
+            if len(pos) + len(neg) != 3 or min(len(pos), len(neg)) != 1:
                 raise ValidationError(
-                    f"variable {var} occurs {pos} times positive and {neg} times "
-                    "negative; need exactly three occurrences split two and one"
+                    f"variable {var} occurs {len(pos)} times positive and {len(neg)} "
+                    "times negative; need exactly three occurrences split two and one"
                 )
+            (a, b), (c,), s = (pos, neg, 1) if len(pos) == 2 else (neg, pos, -1)
+            table.append(((a, s), (b, s), (c, -s)))
+        # Not a field: equality, hash and repr stay those of the clauses.
+        object.__setattr__(self, "_occurrences", tuple(table))
 
     @property
     def num_clauses(self) -> int:
@@ -71,26 +76,12 @@ class CnfFormula:
         """The three (clause index, sign) occurrences, majority pair first.
 
         Returns ``((a, s), (b, s), (c, -s))`` where clauses ``a < b`` carry
-        the majority polarity ``s`` and clause ``c`` the minority one.
+        the majority polarity ``s`` and clause ``c`` the minority one. The
+        table is built once, by the shape check at construction.
         """
         if not 1 <= var <= self.num_vars:
             raise ValidationError(f"variable {var} out of range 1..{self.num_vars}")
-        majority: list[int] = []
-        minority: list[int] = []
-        sign = 0
-        hits = [
-            (idx, 1 if var in cl else -1)
-            for idx, cl in enumerate(self.clauses)
-            if var in cl or -var in cl
-        ]
-        pos = [idx for idx, s in hits if s > 0]
-        neg = [idx for idx, s in hits if s < 0]
-        if len(pos) == 2:
-            majority, minority, sign = pos, neg, 1
-        else:
-            majority, minority, sign = neg, pos, -1
-        a, b = sorted(majority)
-        return (a, sign), (b, sign), (minority[0], -sign)
+        return self._occurrences[var - 1]
 
 
 def satisfied_clauses(formula: CnfFormula, assignment: Sequence[int]) -> int:

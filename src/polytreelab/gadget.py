@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .errors import CapExceededError, ValidationError
 from .structure import Structure, is_polytree, max_indegree
 
 ENTROPY_QUERY_MAX_COINS = 20
-HALF_BIT_TOLERANCE = 1e-10
 DEFAULT_CLAUSE_BIAS = bernoulli_bias_for_entropy(0.5)
 DEFAULT_BLOCKER_COPIES = 5
 
@@ -76,27 +75,20 @@ DEFAULT_BLOCKER_COPIES = 5
 class GadgetParams:
     """Knobs of the construction.
 
-    ``clause_bias`` is the bias ``p`` of every clause coin and must carry
-    exactly half a bit of entropy. ``delta`` is derived. Blockers are the
+    ``clause_bias`` is a constant, not a knob: the bias ``p`` below one half
+    whose coin carries exactly half a bit of entropy, ``DEFAULT_CLAUSE_BIAS``
+    for every gadget. ``delta`` is derived from it. Blockers are the
     optional satellite shield; when enabled, ``blocker_bias`` defaults to
     ``p`` and ``blocker_copies`` to 5, and the information constraint
     ``k (H(2q(1-q)) - H(q)) > 1`` is asserted.
     """
 
-    clause_bias: float = DEFAULT_CLAUSE_BIAS
+    clause_bias: ClassVar[float] = DEFAULT_CLAUSE_BIAS
     include_inedge_blockers: bool = False
     blocker_bias: float | None = None
     blocker_copies: int | None = None
 
     def __post_init__(self) -> None:
-        p = self.clause_bias
-        if not 0.0 < p < 0.5:
-            raise ValidationError(f"clause_bias must be in (0, 0.5), got {p}")
-        if abs(binary_entropy_bits(p) - 0.5) > HALF_BIT_TOLERANCE:
-            raise ValidationError(
-                "clause_bias must carry exactly half a bit of entropy "
-                f"(H({p}) = {binary_entropy_bits(p)})"
-            )
         if self.include_inedge_blockers:
             q = self.effective_blocker_bias
             k = self.effective_blocker_copies
@@ -162,10 +154,10 @@ class SatisfyingPlan:
     """A structure candidate derived from a CNF assignment.
 
     ``allocation`` maps each satisfied clause index to the variable whose
-    principal node adopts that clause node as a parent; every satisfied
-    clause is allocated exactly once (a variable can host at most as many
-    clauses as it has occurrences of its assigned polarity, and greedy
-    allocation in clause order never gets stuck).
+    principal node adopts that clause node as a parent: the smallest
+    variable whose literal satisfies the clause. So every satisfied clause
+    is hosted exactly once, and a variable hosts only clauses its assigned
+    polarity occurs in, at most two.
     """
 
     assignment: tuple[int, ...]
@@ -396,18 +388,19 @@ class CompiledGadget:
             return binary_entropy_bits(self.params.xor_bias) + 3.0
         return 1.0
 
-    def layer_entropy_bits(self) -> tuple[float, float, float]:
-        """Per-layer totals of exact per-node entropies."""
+    def _layer_totals(self, node_bits: Callable[[str], float]) -> tuple[float, float, float]:
+        """Per-layer totals of ``node_bits(name)``, added in node order."""
         totals = [0.0, 0.0, 0.0]
         for node in self.nodes:
-            totals[node.layer - 1] += self.joint_entropy_bits([node.name])
+            totals[node.layer - 1] += node_bits(node.name)
         return tuple(totals)  # type: ignore[return-value]
 
+    def layer_entropy_bits(self) -> tuple[float, float, float]:
+        """Per-layer totals of exact per-node entropies."""
+        return self._layer_totals(lambda name: self.joint_entropy_bits([name]))
+
     def analytic_layer_entropy_bits(self) -> tuple[float, float, float]:
-        totals = [0.0, 0.0, 0.0]
-        for node in self.nodes:
-            totals[node.layer - 1] += self.analytic_node_entropy_bits(node.name)
-        return tuple(totals)  # type: ignore[return-value]
+        return self._layer_totals(self.analytic_node_entropy_bits)
 
     def metadata(self) -> dict:
         layers = self.layer_entropy_bits()
@@ -436,10 +429,10 @@ class CompiledGadget:
     def plan_for_assignment(
         self, assignment: Sequence[int] | None = None
     ) -> SatisfyingPlan:
-        """Greedy clause allocation and the polytree it induces.
+        """Clause allocation and the polytree it induces.
 
-        Each satisfied clause node becomes a parent of one principal node
-        whose CNF variable satisfies it; principals hosting one clause also
+        Each satisfied clause node becomes a parent of the principal node of
+        its smallest satisfying variable; principals hosting one clause also
         adopt their satellite, principals hosting none adopt only the
         satellite. Chain nodes always adopt both adjacent principals.
         """
@@ -447,30 +440,13 @@ class CompiledGadget:
         if assignment is None:
             assignment, _ = best_assignment(formula)
         values = tuple(int(v) for v in assignment)
+        # Validates the assignment before it is read below.
         satisfied = satisfied_clauses(formula, values)
-        capacity: dict[int, list[int]] = {}
-        for i in range(1, formula.num_vars + 1):
-            (a, sign), (b, _), (c, _) = formula.occurrences(i)
-            wanted = 1 if values[i - 1] == 1 else -1
-            capacity[i] = [a, b] if wanted == sign else [c]
-        hosts: dict[int, list[int]] = {i: [] for i in capacity}
         allocation: dict[int, int] = {}
         for j, clause in enumerate(formula.clauses):
-            satisfying = sorted(
-                abs(lit)
-                for lit in clause
-                if (values[abs(lit) - 1] == 1) == (lit > 0)
-            )
-            for i in satisfying:
-                if j in capacity[i] and len(hosts[i]) < len(capacity[i]):
-                    hosts[i].append(j)
-                    allocation[j] = i
-                    break
-        if len(allocation) != satisfied:
-            raise ValidationError(
-                "internal allocation failure: "
-                f"{len(allocation)} of {satisfied} satisfied clauses placed"
-            )
+            satisfying = [abs(lit) for lit in clause if (values[abs(lit) - 1] == 1) == (lit > 0)]
+            if satisfying:
+                allocation[j] = min(satisfying)
         names = self.node_names
         index = self._index_by_name
         parents: list[tuple[int, ...]] = [() for _ in names]
@@ -478,7 +454,7 @@ class CompiledGadget:
         for i in range(1, formula.num_vars + 1):
             if blockers:
                 parents[index[f"R{i}"]] = (index[f"A{i}"], index[f"B{i}"])
-            hosted = sorted(hosts[i])
+            hosted = [j for j, host in allocation.items() if host == i]
             if len(hosted) == 2:
                 chosen = tuple(index[f"C{j + 1}"] for j in hosted)
             elif len(hosted) == 1:

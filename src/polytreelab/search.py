@@ -11,12 +11,12 @@ parent set within the bound is read from the oracle once per search into a
 table whose cells beyond the bound are ``+inf``, one float matmul of
 per-forest weights with the level's orientation template gives the parent
 masks, one ``take`` gathers the terms, and each total adds them left to
-right in node order, the same float additions as Python 3.11's
-``sum(terms)``; an orientation is within the bound exactly when its total
-is finite. The result is the minimum of (total, parent-set encoding), with
-ties broken toward the lexicographically smallest encoding; that minimum
-does not depend on visit order, so each chunk offers only its rows at the
-chunk minimum.
+right in node order with ``node_ordered_total``, as ``score`` does; an
+orientation is within the bound exactly when its total is finite, so at
+``k = 0`` only the empty forest is scored. The result is the minimum of
+(total, parent-set encoding), with ties broken toward the
+lexicographically smallest encoding; that minimum does not depend on visit
+order, so each chunk offers only its rows at the chunk minimum.
 
 The search starts from the learned branching's key, read from the same
 table, and prunes by a bound before it scores: ``least[v, nbrs]`` is the
@@ -61,7 +61,7 @@ import numpy as np
 from .branching import learn_optimal_branching
 from .distribution import Distribution, EntropyOracle
 from .errors import CapExceededError, InvariantError, ValidationError
-from .structure import Structure, UnionFind, is_polytree, max_indegree, score
+from .structure import Structure, UnionFind, is_polytree, max_indegree, node_ordered_total, score
 
 EXACT_MAX_NODES = 7
 # Orientations per numpy scoring chunk, and parent forests per growth step;
@@ -158,16 +158,6 @@ def _forest_levels(n: int):
         level = grown
 
 
-def _node_ordered_total(terms: np.ndarray) -> np.ndarray:
-    """Sum of ``terms`` over its first axis (one row per node), added left
-    to right in node order from 0.0: the additions of Python 3.11's
-    ``sum(terms)``, so totals and their ties match the scalar walk exactly."""
-    total = terms[0] + 0.0
-    for row in terms[1:]:
-        total += row
-    return total
-
-
 def _least_over_subsets(cond: np.ndarray) -> np.ndarray:
     """``least[v, mask]``, the least ``cond[v, P]`` over every ``P ⊆ mask``,
     by one subset-min pass per bit; NaN where ``v`` is in ``mask``.
@@ -196,7 +186,7 @@ def _forest_bounds(
     nbrs = np.repeat(offsets, len(forests), axis=1)
     for j in range(forests.shape[1]):
         nbrs += neighbours[:, forests[:, j]]
-    return _node_ordered_total(least.take(nbrs))
+    return node_ordered_total(least.take(nbrs))
 
 
 @functools.cache
@@ -287,7 +277,7 @@ def exact_optimal_polytree(
     # minimum and bounds the search from the first forest on.
     branching = learn_optimal_branching(dist)
     masks = [sum(1 << p for p in ps) for ps in branching.parents]
-    branching_total = _node_ordered_total(flat.take(offsets[:, 0] + masks))
+    branching_total = node_ordered_total(flat.take(offsets[:, 0] + masks))
     best: tuple = (float(branching_total), *rank[masks].tolist())
     for e, level in _forest_levels(n):
         template = _orientation_template(e)
@@ -302,7 +292,7 @@ def exact_optimal_polytree(
                 w = weights[:, rows].reshape(n * len(rows), 2 * e)
                 cells = (w @ template).reshape(n, len(rows) << e).astype(np.intp)
                 cells += offsets
-                total = _node_ordered_total(flat.take(cells))
+                total = node_ordered_total(flat.take(cells))
                 low = float(total.min())
                 if low <= best[0]:
                     ranks = rank[cells[:, total == low] - offsets]
@@ -310,6 +300,8 @@ def exact_optimal_polytree(
                     # last key, node 0, is its primary one.
                     row = np.lexsort(ranks[::-1])[0]
                     best = min(best, (low, *ranks[:, row].tolist()))
+        if k_eff == 0:
+            break  # Every forest with an edge breaks the bound.
 
     structure = _structure_of([order[r] for r in best[1:]])
     return _finish_report(dist, branching, structure, best[0], polytree_count(n, k_eff))

@@ -143,6 +143,18 @@ def skeleton_components(structure: Structure) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
+def node_ordered_total(terms):
+    """Sum of ``terms`` over its first axis, one float or one row of floats
+    per node, added left to right in node order from 0.0. These are the
+    additions of Python 3.11's ``sum(terms)``; later Pythons compensate the
+    rounding of ``sum``, so every structure total is added here, and equal
+    structures total the same bits in ``score`` and in the searches."""
+    total = terms[0] + 0.0
+    for row in terms[1:]:
+        total += row
+    return total
+
+
 @dataclass(frozen=True)
 class ScoreBreakdown:
     """Per-node conditional entropies and their total, in bits."""
@@ -161,7 +173,7 @@ def score(dist: Distribution, structure: Structure) -> ScoreBreakdown:
         conditional_entropy(dist, i, sorted(structure.parents[i]))
         for i in range(structure.n)
     )
-    return ScoreBreakdown(per_node, float(sum(per_node)))
+    return ScoreBreakdown(per_node, float(node_ordered_total(per_node)))
 
 
 def score_report_dict(dist: Distribution, structure: Structure) -> dict:

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytreelab.branching import learn_optimal_branching
+from polytreelab.branching import learn_optimal_branching, mutual_information_edges
 from polytreelab.cli import main
 from polytreelab.cnf import bundled_formulas, write_dimacs_file
 from polytreelab.distribution import (
@@ -135,6 +135,20 @@ class TestLearnBranching:
         assert "-0.0" not in result.output
         per_node = json.loads(result.output)["score"]["per_node"]
         assert math.copysign(1.0, per_node[0]["h_bits"]) == 1.0
+
+    def test_computes_the_mutual_informations_once(self, workdir, monkeypatch):
+        calls = []
+
+        def counted(dist):
+            calls.append(dist)
+            return mutual_information_edges(dist)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("polytreelab."):
+                if getattr(module, "mutual_information_edges", None) is mutual_information_edges:
+                    monkeypatch.setattr(module, "mutual_information_edges", counted)
+        run_json(["learn-branching", "--dist", str(workdir / "parity3.json")])
+        assert len(calls) == 1
 
     def test_missing_file_reports_structured_error(self, workdir):
         doc = run_json(
@@ -347,6 +361,21 @@ class TestGenXorTree:
         assert lines[0] == "depth,branching_bits,polytree_bits,ratio"
         assert len(lines) == 4
         assert lines[1].startswith("1,")
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--max-depth", "2", "--structure-out", "s.json"], "--structure-out"),
+            (["--max-depth", "2", "--format", "json", "--out", "sweep.json"], "--out"),
+            (["--depth", "2", "--max-depth", "1"], "--depth"),
+        ],
+    )
+    def test_sweep_refuses_the_options_it_ignores(self, tmp_path, monkeypatch, args, option):
+        monkeypatch.chdir(tmp_path)
+        doc = run_json(["gen", "xor-tree", "--eps", "0.3", *args], expect_exit=1)
+        assert doc["error"]["type"] == "ValidationError"
+        assert option in doc["error"]["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_depth_without_sweep(self, workdir):
         doc = run_json(["gen", "xor-tree", "--eps", "0.3"], expect_exit=1)

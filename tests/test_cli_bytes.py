@@ -122,6 +122,13 @@ LEDGER = [
         "c6ade433f6c14d54d6256fdb3c2da16d14aface17fc656fcfa57cf5eb5afd050",
         {},
     ),
+    # k = 0: only the empty structure is within the bound.
+    (
+        ["exact-polytree", "--dist", "random7.json", "--k", "0"],
+        0,
+        "4784047dbc15736f2fb9093df1492e7170bf4ad8170bba55dcafbb2e3f658506",
+        {},
+    ),
     (
         ["gen", "xor-tree", "--depth", "2", "--eps", "0.3"],
         0,
@@ -138,6 +145,12 @@ LEDGER = [
         ["heuristic-polytree", "--data", "parity2.csv", "--k", "2"],
         0,
         "2d4c1f77e485f3eea0a202a7eaa388deb3e6df515791d0a2e1ec098914171f63",
+        {},
+    ),
+    (
+        ["learn-branching", "--data", "parity2.csv"],
+        0,
+        "dadd4ce68f311fd952f3f6bef2a5af21900c5565051114415736eee5907daf6f",
         {},
     ),
     (
@@ -163,6 +176,28 @@ LEDGER = [
         0,
         "aaf3d6cdcdb53b08b963b40ce3f4c963d91f29e94786980293c666a0edd44340",
         {},
+    ),
+    (
+        ["verify-gadget", "two_variable.cnf", "--assignment", "0,1"],
+        0,
+        "6fa7b089f05f352a96343cf678dee0b19ae1d46b9449bf70f219c47e0d6b7c19",
+        {},
+    ),
+    (
+        [
+            "gen", "cnf", "six_variable.cnf",
+            "--blockers",
+            "--samples", "50",
+            "--seed", "2",
+            "--out", "six.csv",
+            "--arities-out", "six.json",
+        ],
+        0,
+        "d7667869f4b74e7c354a9b939eaa81fa43078e167ba9e8ad7dd74ce423a55f19",
+        {
+            "six.csv": "eb53e8c2dfbfa04be109528cf8bc36251240135ff1154efcea81743081d1b368",
+            "six.json": "f2fa270c7b5229f30a6462aa40b18c4006d96cab058997627ef46d2180881449",
+        },
     ),
 ]
 

@@ -13,6 +13,7 @@ from polytreelab.generators import (
     random_joint_distribution,
     random_polytree_instance,
 )
+from polytreelab import search as search_mod
 from polytreelab.search import (
     EXACT_MAX_NODES,
     LOCAL_IMPROVEMENT_EPS,
@@ -95,6 +96,33 @@ class TestExactSearch:
         assert report.best_score_bits == pytest.approx(0.0, abs=1e-12)
         assert report.ratio is None
         assert report.excess_bits == pytest.approx(0.0, abs=1e-9)
+
+    def test_k0_grows_no_forest_with_an_edge(self, monkeypatch):
+        grow = search_mod._forest_levels
+        consumed = []
+
+        def counted(n):
+            for e, level in grow(n):
+                consumed.append(e)
+                yield e, level
+
+        monkeypatch.setattr(search_mod, "_forest_levels", counted)
+        dist, _ = random_polytree_instance(6, 2, 2, 3)
+        report = exact_optimal_polytree(dist, 0)
+        assert consumed == [0]
+        assert report.best == Structure.empty(6)
+        assert report.best_score_bits == score(dist, report.best).total_bits
+        assert report.instances_enumerated == 1
+
+    @pytest.mark.parametrize("seed", [26, 34, 108, 148, 191])
+    def test_score_totals_the_optimum_as_the_search_does(self, seed):
+        # The optimum is the learned branching, so score() must add its
+        # terms to the search's float: a compensated sum would differ.
+        dist, _ = random_polytree_instance(6, 2, 2, seed)
+        report = exact_optimal_polytree(dist, 2)
+        assert report.best == report.branching
+        assert score(dist, report.best).total_bits == report.best_score_bits
+        assert report.excess_bits == 0.0
 
     def test_single_variable_instance(self):
         dist = Distribution([VariableMeta("A", 3)], np.array([0.2, 0.3, 0.5]))

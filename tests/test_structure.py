@@ -1,5 +1,7 @@
 """Directed structures: validity predicates, scoring, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from polytreelab.structure import (
     is_branching,
     is_polytree,
     max_indegree,
+    node_ordered_total,
     read_structure_dot,
     read_structure_json,
     score,
@@ -109,6 +112,14 @@ class TestScore:
         s = Structure(3, [(), (0,), (0, 1)])
         breakdown = score(dist, s)
         assert breakdown.total_bits == pytest.approx(sum(breakdown.per_node_bits))
+
+    def test_totals_add_left_to_right_in_node_order(self):
+        # A compensated sum (math.fsum, or sum() on Python 3.12+) would
+        # keep the two tiny terms.
+        terms = [1.0, 1e-16, 1e-16]
+        assert node_ordered_total(terms) == 1.0 != math.fsum(terms)
+        rows = np.array([terms, terms[::-1]]).T
+        assert node_ordered_total(rows).tolist() == [1.0, 1.0000000000000002]
 
     def test_size_mismatch_rejected(self):
         dist, _ = parity_fixture("parity2")
