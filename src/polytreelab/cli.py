@@ -419,7 +419,9 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
         ]
         if ignored:
             raise ValidationError(f"a depth sweep cannot honour {', '.join(ignored)}")
-        top = max_depth if max_depth is not None else (depth if depth else 3)
+        top = max_depth if max_depth is not None else (3 if depth is None else depth)
+        if top < 1:
+            raise ValidationError(f"depth must be >= 1, got {top}")
         rows = []
         for d in range(1, top + 1):
             dist, generating = gen_mod.xor_tree_family(d, eps, max_states=max_states)

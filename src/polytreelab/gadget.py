@@ -33,6 +33,10 @@ Optionally each satellite is shielded by two blocker nodes ``A`` and ``B``
 ``k (H(2q(1-q)) - H(q)) > 1`` so that adopting both blockers as parents is
 the only attractive option. This expansion is off by default.
 
+Each node carries its rule: ``CompiledGadget._build_nodes`` gives every
+node its coins, its value function and its closed-form entropy in one
+place, and the oracle, the sampler and the audit only call them.
+
 Full joints over all coins are astronomically large, so the compiled
 object is a sampler plus an exact ``EntropyOracle`` (``oracle``) whose
 backend enumerates only the ancestor coins of the queried nodes, in
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -129,17 +133,14 @@ class GadgetParams:
 
 @dataclass(frozen=True)
 class GadgetNode:
-    """One network node and the ancestor coins that determine its value.
+    """One network node, the ancestor coins that determine its value, and
+    its rule.
 
-    Coin-order conventions per kind:
-
-    * ``clause``: ``(coin,)``; value is the coin.
-    * ``satellite``: ``(r,)`` or ``(r, a1..ak, b1..bk)``; value packs ``r``
-      as the low bit and ``a_t xor b_t`` as bit ``t``.
-    * ``blocker``: ``(c1..ck)``; value packs coin ``t`` as bit ``t-1``.
-    * ``principal``: ``(ca, cb, cc, r, w, prev, next)``; value is
-      ``(ca xor cb)*8 + (r xor cc xor w)*4 + prev*2 + next``.
-    * ``chain``: ``(next_i, prev_i+1)``; value is their xor.
+    ``value`` maps its coins' bits, passed in ``coins`` order as arrays that
+    broadcast against each other, to the node's int64 values in their
+    broadcast shape; ``analytic_bits`` is its closed-form entropy. Both are
+    set next to the coins in ``CompiledGadget._build_nodes``, the one place
+    each kind's rule is written; ``kind`` is only a label.
     """
 
     name: str
@@ -147,6 +148,8 @@ class GadgetNode:
     layer: int
     arity: int
     coins: tuple[str, ...]
+    value: Callable[..., np.ndarray]
+    analytic_bits: float
 
 
 @dataclass(frozen=True)
@@ -208,33 +211,68 @@ class CompiledGadget:
         self.formula = formula
         self.params = params
         self.coin_biases: dict[str, float] = {}
-        self.nodes: tuple[GadgetNode, ...] = self._build_nodes()
+        self.nodes: tuple[GadgetNode, ...] = tuple(self._build_nodes())
         self._index_by_name = {node.name: i for i, node in enumerate(self.nodes)}
         self.oracle = EntropyOracle(self._coin_entropy)
 
-    def _build_nodes(self) -> tuple[GadgetNode, ...]:
+    def _build_nodes(self) -> Iterator[GadgetNode]:
+        """Every node with its coins, value rule and closed-form entropy.
+
+        Coins are created in the order ``sample_dataset`` draws them.
+        """
         p = self.params.clause_bias
-        blockers = self.params.include_inedge_blockers
         q = self.params.effective_blocker_bias
         k = self.params.effective_blocker_copies
-        nodes: list[GadgetNode] = []
 
         def coin(name: str, bias: float) -> str:
             self.coin_biases[name] = bias
             return name
 
+        # Clause, plain satellite: the value is the coin.
+        def one_coin(c):
+            return c.astype(np.int64)
+
+        # Shielded satellite (r, a1..ak, b1..bk): r as the low bit, a_t xor b_t as bit t.
+        def shielded(r, *ab):
+            value = r.astype(np.int64)
+            for t, (a, b) in enumerate(zip(ab[:k], ab[k:]), 1):
+                value = value | (np.int64(1) << t) * (a ^ b)
+            return value
+
+        # Blocker (c1..ck): coin t as bit t-1.
+        def blocker(*cs):
+            return sum((np.int64(1) << t) * c.astype(np.int64) for t, c in enumerate(cs))
+
+        # Principal (ca, cb, cc, r, w, prev, next): (ca xor cb)*8 + (r xor cc xor w)*4
+        # + prev*2 + next.
+        def principal(ca, cb, cc, r, w, prev, nxt):
+            g1 = (ca ^ cb).astype(np.int64)
+            g2 = (r ^ cc ^ w).astype(np.int64)
+            return g1 * 8 + g2 * 4 + prev.astype(np.int64) * 2 + nxt.astype(np.int64)
+
+        # Chain (next_i, prev_i+1): their xor.
+        def chain(nxt, prev):
+            return (nxt ^ prev).astype(np.int64)
+
         for j in range(1, self.formula.num_clauses + 1):
-            nodes.append(GadgetNode(f"C{j}", "clause", 1, 2, (coin(f"c{j}", p),)))
+            yield GadgetNode(
+                f"C{j}", "clause", 1, 2, (coin(f"c{j}", p),), one_coin, binary_entropy_bits(p)
+            )
         for i in range(1, self.formula.num_vars + 1):
-            if blockers:
+            if self.params.include_inedge_blockers:
                 a_coins = tuple(coin(f"a{i}_{t}", q) for t in range(1, k + 1))
                 b_coins = tuple(coin(f"b{i}_{t}", q) for t in range(1, k + 1))
-                nodes.append(GadgetNode(f"A{i}", "blocker", 2, 2**k, a_coins))
-                nodes.append(GadgetNode(f"B{i}", "blocker", 2, 2**k, b_coins))
+                for name, cs in ((f"A{i}", a_coins), (f"B{i}", b_coins)):
+                    yield GadgetNode(
+                        name, "blocker", 2, 2**k, cs, blocker, k * binary_entropy_bits(q)
+                    )
                 r_coins = (coin(f"r{i}", 0.5),) + a_coins + b_coins
-                nodes.append(GadgetNode(f"R{i}", "satellite", 2, 2 ** (k + 1), r_coins))
+                yield GadgetNode(
+                    f"R{i}", "satellite", 2, 2 ** (k + 1), r_coins, shielded,
+                    1.0 + k * binary_entropy_bits(2 * q * (1 - q)),
+                )
             else:
-                nodes.append(GadgetNode(f"R{i}", "satellite", 2, 2, (coin(f"r{i}", 0.5),)))
+                yield GadgetNode(f"R{i}", "satellite", 2, 2, (coin(f"r{i}", 0.5),), one_coin, 1.0)
             (a, _), (b, _), (c, _) = self.formula.occurrences(i)
             principal_coins = (
                 f"c{a + 1}",
@@ -245,12 +283,12 @@ class CompiledGadget:
                 coin(f"prev{i}", 0.5),
                 coin(f"next{i}", 0.5),
             )
-            nodes.append(GadgetNode(f"X{i}", "principal", 2, 16, principal_coins))
-        for i in range(1, self.formula.num_vars):
-            nodes.append(
-                GadgetNode(f"L{i}", "chain", 3, 2, (f"next{i}", f"prev{i + 1}"))
+            yield GadgetNode(
+                f"X{i}", "principal", 2, 16, principal_coins, principal,
+                binary_entropy_bits(self.params.xor_bias) + 3.0,
             )
-        return tuple(nodes)
+        for i in range(1, self.formula.num_vars):
+            yield GadgetNode(f"L{i}", "chain", 3, 2, (f"next{i}", f"prev{i + 1}"), chain, 1.0)
 
     # -- lookups ---------------------------------------------------------
 
@@ -276,35 +314,6 @@ class CompiledGadget:
         return self.nodes[self._index(name)]
 
     # -- exact entropy queries -------------------------------------------
-
-    @staticmethod
-    def _node_values(node: GadgetNode, bits: Mapping[str, np.ndarray]) -> np.ndarray:
-        """The node's value from its coins' bits. The bits may be full
-        columns or views that broadcast against each other; the result has
-        their broadcast shape."""
-        if node.kind == "clause":
-            return bits[node.coins[0]].astype(np.int64)
-        if node.kind == "satellite":
-            value = bits[node.coins[0]].astype(np.int64)
-            copies = (len(node.coins) - 1) // 2
-            for t in range(copies):
-                a = bits[node.coins[1 + t]]
-                b = bits[node.coins[1 + copies + t]]
-                value = value | (np.int64(1) << (t + 1)) * (a ^ b)
-            return value
-        if node.kind == "blocker":
-            return sum(
-                (np.int64(1) << t) * bits[name].astype(np.int64)
-                for t, name in enumerate(node.coins)
-            )
-        if node.kind == "principal":
-            ca, cb, cc, r, w, prev, nxt = (bits[name] for name in node.coins)
-            g1 = (ca ^ cb).astype(np.int64)
-            g2 = (r ^ cc ^ w).astype(np.int64)
-            return g1 * 8 + g2 * 4 + prev.astype(np.int64) * 2 + nxt.astype(np.int64)
-        if node.kind == "chain":
-            return (bits[node.coins[0]] ^ bits[node.coins[1]]).astype(np.int64)
-        raise ValidationError(f"unknown node kind {node.kind!r}")
 
     def _coin_entropy(self, mask: int) -> float:
         """Oracle backend: joint entropy of the nodes in ``mask``, taken in
@@ -339,7 +348,7 @@ class CompiledGadget:
         key = np.zeros((2,) * c, dtype=np.int64)
         radix = 1
         for node in node_list:
-            key += self._node_values(node, bits) * radix
+            key += node.value(*(bits[c] for c in node.coins)) * radix
             radix *= node.arity
         masses = np.bincount(key.ravel(), weights=probs, minlength=radix)
         occupied = masses[masses > 1e-300]
@@ -372,35 +381,23 @@ class CompiledGadget:
     # -- analytic targets and metadata -------------------------------------
 
     def analytic_node_entropy_bits(self, name: str) -> float:
-        node = self.node(name)
-        p = self.params.clause_bias
-        q = self.params.effective_blocker_bias
-        k = self.params.effective_blocker_copies
-        if node.kind == "clause":
-            return binary_entropy_bits(p)
-        if node.kind == "satellite":
-            if len(node.coins) == 1:
-                return 1.0
-            return 1.0 + k * binary_entropy_bits(2 * q * (1 - q))
-        if node.kind == "blocker":
-            return k * binary_entropy_bits(q)
-        if node.kind == "principal":
-            return binary_entropy_bits(self.params.xor_bias) + 3.0
-        return 1.0
+        return self.node(name).analytic_bits
 
-    def _layer_totals(self, node_bits: Callable[[str], float]) -> tuple[float, float, float]:
-        """Per-layer totals of ``node_bits(name)``, added in node order."""
+    def _layer_totals(
+        self, node_bits: Callable[[GadgetNode], float]
+    ) -> tuple[float, float, float]:
+        """Per-layer totals of ``node_bits(node)``, added in node order."""
         totals = [0.0, 0.0, 0.0]
         for node in self.nodes:
-            totals[node.layer - 1] += node_bits(node.name)
+            totals[node.layer - 1] += node_bits(node)
         return tuple(totals)  # type: ignore[return-value]
 
     def layer_entropy_bits(self) -> tuple[float, float, float]:
         """Per-layer totals of exact per-node entropies."""
-        return self._layer_totals(lambda name: self.joint_entropy_bits([name]))
+        return self._layer_totals(lambda node: self.joint_entropy_bits([node.name]))
 
     def analytic_layer_entropy_bits(self) -> tuple[float, float, float]:
-        return self._layer_totals(self.analytic_node_entropy_bits)
+        return self._layer_totals(lambda node: node.analytic_bits)
 
     def metadata(self) -> dict:
         layers = self.layer_entropy_bits()
@@ -421,7 +418,7 @@ class CompiledGadget:
             raise ValidationError(f"num_rows must be >= 1, got {num_rows}")
         rng = np.random.Generator(np.random.PCG64(seed))
         bits = {name: rng.random(num_rows) < bias for name, bias in self.coin_biases.items()}
-        columns = [self._node_values(node, bits) for node in self.nodes]
+        columns = [node.value(*(bits[c] for c in node.coins)) for node in self.nodes]
         return Dataset(self.variables, np.stack(columns, axis=1))
 
     # -- assignment-derived structures ---------------------------------------
@@ -519,7 +516,7 @@ def verify_gadget(
         check(
             f"entropy[{node.name}]",
             compiled.joint_entropy_bits([node.name]),
-            compiled.analytic_node_entropy_bits(node.name),
+            node.analytic_bits,
         )
     for i in range(1, formula.num_vars + 1):
         (a, _), (b, _), (c, _) = formula.occurrences(i)

@@ -211,17 +211,21 @@ def structure_from_json_dict(doc: dict) -> tuple[Structure, tuple[str, ...]]:
     if not isinstance(doc, dict) or "parents" not in doc:
         raise FormatError("structure JSON needs a 'parents' list")
     parents = doc["parents"]
-    if not isinstance(parents, list):
-        raise FormatError("'parents' must be a list of lists")
+    if not isinstance(parents, list) or not all(
+        isinstance(entry, list) and all(type(p) is int for p in entry) for entry in parents
+    ):
+        raise FormatError("'parents' must be a list of lists of integer indices")
     n = len(parents)
     names = doc.get("names", [f"X{i + 1}" for i in range(n)])
     if not isinstance(names, list) or len(names) != n:
         raise FormatError(f"'names' must list exactly {n} names")
+    if not all(isinstance(x, str) and x for x in names):
+        raise FormatError("every name must be a non-empty string")
     try:
         structure = Structure(n, parents)
     except ValidationError as exc:
         raise FormatError(f"bad structure JSON: {exc}") from None
-    return structure, tuple(str(x) for x in names)
+    return structure, tuple(names)
 
 
 def read_structure_json(path: str) -> tuple[Structure, tuple[str, ...]]:

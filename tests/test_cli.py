@@ -31,6 +31,7 @@ from polytreelab.structure import (
     read_structure_dot,
     read_structure_json,
     score,
+    write_structure_dot,
     write_structure_json,
 )
 
@@ -190,6 +191,44 @@ class TestScoreCommand:
             expect_exit=1,
         )
         assert doc["kind"] == "error"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["score", "--structure"], ["heuristic-polytree", "--k", "2", "--seed-structure"]],
+        ids=["score", "heuristic-polytree"],
+    )
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            {"parents": [1, [], []]},
+            {"parents": [[1.9, 2], [], []]},
+            {"parents": [["1"], [], []]},
+            {"parents": [[True], [], []]},
+            {"names": ["X1", None, "X3"], "parents": [[], [], []]},
+            {"names": ["X1", "", "X3"], "parents": [[], [], []]},
+        ],
+        ids=["entry-not-a-list", "float-index", "string-index", "bool-index", "null-name",
+             "empty-name"],
+    )
+    def test_malformed_structure_json_is_refused(self, workdir, tmp_path, command, structure):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(structure))
+        doc = run_json(
+            [*command, str(path), "--dist", str(workdir / "parity2.json")], expect_exit=1
+        )
+        assert doc["error"]["type"] == "FormatError"
+
+    def test_dot_structures_are_read(self, workdir, tmp_path):
+        dist, generating = parity_fixture("parity2")
+        path = tmp_path / "generating.dot"
+        write_structure_dot(generating, list(dist.names), str(path))
+        dist_path = str(workdir / "parity2.json")
+        doc = run_json(["score", "--dist", dist_path, "--structure", str(path)])
+        assert doc["score"]["total_bits"] == pytest.approx(2.0, abs=1e-9)
+        doc = run_json(
+            ["heuristic-polytree", "--dist", dist_path, "--k", "2", "--seed-structure", str(path)]
+        )
+        assert doc["best_score_bits"] == pytest.approx(2.0, abs=1e-9)
 
 
 class TestExactPolytreeAndRatio:
@@ -375,6 +414,23 @@ class TestGenXorTree:
         doc = run_json(["gen", "xor-tree", "--eps", "0.3", *args], expect_exit=1)
         assert doc["error"]["type"] == "ValidationError"
         assert option in doc["error"]["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, depth",
+        [
+            (["--format", "csv", "--out", "curve.csv", "--depth", "0"], 0),
+            (["--format", "csv", "--out", "curve.csv", "--depth", "-1"], -1),
+            (["--format", "csv", "--out", "curve.csv", "--max-depth", "0"], 0),
+            (["--max-depth", "0"], 0),
+            (["--max-depth", "-2"], -2),
+        ],
+    )
+    def test_sweep_refuses_depths_below_one(self, tmp_path, monkeypatch, args, depth):
+        monkeypatch.chdir(tmp_path)
+        doc = run_json(["gen", "xor-tree", "--eps", "0.3", *args], expect_exit=1)
+        assert doc["error"]["type"] == "ValidationError"
+        assert doc["error"]["message"] == f"depth must be >= 1, got {depth}"
         assert list(tmp_path.iterdir()) == []
 
     def test_requires_depth_without_sweep(self, workdir):
@@ -586,6 +642,108 @@ class TestVerifyGadget:
         assert doc["kind"] == "error"
         assert doc["error"]["type"] == "ValidationError"
         assert "tolerance" in doc["error"]["message"]
+
+
+# (files to write, arguments, error type, message fragment); "{w}" is the
+# module's workdir. Each case reaches one refusal of input from outside.
+REFUSALS = {
+    "dimacs-non-integer-problem-line": (
+        {"in.cnf": "p cnf x 1\n1 0\n"},
+        ["verify-gadget", "in.cnf"],
+        "FormatError", "bad problem line",
+    ),
+    "dimacs-bad-literal": (
+        {"in.cnf": "p cnf 1 1\n1 y 0\n"},
+        ["verify-gadget", "in.cnf"],
+        "FormatError", "bad literal",
+    ),
+    "dimacs-missing-problem-line": (
+        {"in.cnf": "c nothing else\n"},
+        ["verify-gadget", "in.cnf"],
+        "FormatError", "missing problem line",
+    ),
+    "dimacs-no-variables": (
+        {"in.cnf": "p cnf 0 0\n"},
+        ["verify-gadget", "in.cnf"],
+        "ValidationError", "num_vars must be >= 1",
+    ),
+    "csv-empty": (
+        {"in.csv": ""},
+        ["learn-branching", "--data", "in.csv"],
+        "FormatError", "empty CSV",
+    ),
+    "csv-blank-header-name": (
+        {"in.csv": "A,,C\n0,0,0\n"},
+        ["learn-branching", "--data", "in.csv"],
+        "FormatError", "blank column name",
+    ),
+    "csv-header-only-with-sidecar": (
+        {"in.csv": "A,B\n", "ar.json": '{"A": 2, "B": 2}'},
+        ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
+        "ValidationError", "zero rows",
+    ),
+    "sidecar-invalid-json": (
+        {"in.csv": "A,B\n0,1\n", "ar.json": "{"},
+        ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
+        "FormatError", "invalid JSON",
+    ),
+    "sidecar-not-an-object": (
+        {"in.csv": "A,B\n0,1\n", "ar.json": "[2, 2]"},
+        ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
+        "FormatError", "must be a JSON object",
+    ),
+    "dist-invalid-json": (
+        {"d.json": "{"},
+        ["learn-branching", "--dist", "d.json"],
+        "FormatError", "invalid JSON",
+    ),
+    "dist-malformed-variable": (
+        {"d.json": '{"variables": [{"name": "A"}], "probabilities": [0.5, 0.5]}'},
+        ["learn-branching", "--dist", "d.json"],
+        "FormatError", "malformed variable entry",
+    ),
+    "dist-probabilities-not-a-list": (
+        {"d.json": '{"variables": [{"name": "A", "arity": 2}], "probabilities": "0.5"}'},
+        ["learn-branching", "--dist", "d.json"],
+        "FormatError", "must be a flat list",
+    ),
+    "blocker-bias-above-half": (
+        {},
+        ["verify-gadget", "{w}/single_variable.cnf", "--blockers", "--blocker-bias", "0.7"],
+        "ValidationError", "blocker_bias must be in",
+    ),
+    "zero-blocker-copies": (
+        {},
+        ["verify-gadget", "{w}/single_variable.cnf", "--blockers", "--blocker-copies", "0"],
+        "ValidationError", "blocker_copies must be >= 1",
+    ),
+    "heuristic-k-zero": (
+        {},
+        ["heuristic-polytree", "--dist", "{w}/parity2.json", "--k", "0"],
+        "ValidationError", "indegree bound k >= 1",
+    ),
+    "heuristic-negative-budget": (
+        {},
+        ["heuristic-polytree", "--dist", "{w}/parity2.json", "--k", "2", "--budget", "-1"],
+        "ValidationError", "budget must be >= 0",
+    ),
+    "dot-unsupported-line": (
+        {"s.dot": "digraph structure {\n  X1 -> X2;\n}\n"},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.dot"],
+        "FormatError", "unsupported DOT line",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_outside_input_is_refused(workdir, tmp_path, monkeypatch, case):
+    files, args, error_type, fragment = REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    doc = run_json([arg.replace("{w}", str(workdir)) for arg in args], expect_exit=1)
+    assert doc["error"]["type"] == error_type
+    assert fragment in doc["error"]["message"]
 
 
 class TestDeterminismAndSchema:

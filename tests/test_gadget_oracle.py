@@ -1,6 +1,8 @@
 """The broadcast coin enumeration of ``CompiledGadget._coin_entropy`` against
 the full-array enumeration it replaced: the same float, bit for bit, the same
-refusal past the coin cap, and a memory peak of a few ``2^c`` grids."""
+refusal past the coin cap, and a memory peak of a few ``2^c`` grids. Both the
+reference enumeration and a replay of ``sample_dataset`` read node values from
+a table written here from the construction, not from the nodes' own rules."""
 
 import itertools
 import tracemalloc
@@ -18,6 +20,27 @@ from polytreelab.gadget import (
     compile_cnf,
     verify_gadget,
 )
+
+
+def reference_values(node, bits):
+    """The node's values from its coins' bits, per kind of the construction:
+    a clause is its coin; a satellite is ``r`` plus ``a_t xor b_t`` at bit
+    ``t``; a blocker holds coin ``t`` at bit ``t - 1``; a principal is
+    ``(ca xor cb)*8 + (r xor cc xor w)*4 + prev*2 + next``; a chain node is the
+    xor of its two coins."""
+    b = [bits[c].astype(np.int64) for c in node.coins]
+    if node.kind == "clause":
+        return b[0]
+    if node.kind == "satellite":
+        k = (len(b) - 1) // 2
+        return b[0] + sum((b[1 + t] ^ b[1 + k + t]) << (t + 1) for t in range(k))
+    if node.kind == "blocker":
+        return sum(bit << t for t, bit in enumerate(b))
+    if node.kind == "principal":
+        ca, cb, cc, r, w, prev, nxt = b
+        return (ca ^ cb) * 8 + (r ^ cc ^ w) * 4 + prev * 2 + nxt
+    assert node.kind == "chain", node.kind
+    return b[0] ^ b[1]
 
 
 def reference_coin_entropy(gadget, mask):
@@ -44,7 +67,7 @@ def reference_coin_entropy(gadget, mask):
     key = np.zeros(count, dtype=np.int64)
     radix = 1
     for node in node_list:
-        key += gadget._node_values(node, bits) * radix
+        key += reference_values(node, bits) * radix
         radix *= node.arity
     masses = np.bincount(key, weights=probs, minlength=radix)
     occupied = masses[masses > 1e-300]
@@ -150,3 +173,17 @@ def test_a_19_coin_query_peaks_below_four_grids():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**coins * 8
+
+
+@pytest.mark.parametrize("params", [{}, BLOCKERS], ids=["plain", "blockers"])
+@pytest.mark.parametrize("name", [name for name, _ in bundled_formulas()])
+def test_sampled_columns_follow_the_construction(name, params):
+    # Replays sample_dataset's draws: one PCG64 stream, one uniform vector
+    # per coin in creation order, a coin is 1 below its bias.
+    gadget = _gadget(name, **params)
+    rows, seed = 200, 11
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bits = {coin: rng.random(rows) < bias for coin, bias in gadget.coin_biases.items()}
+    data = gadget.sample_dataset(rows, seed).rows
+    for column, node in enumerate(gadget.nodes):
+        np.testing.assert_array_equal(data[:, column], reference_values(node, bits), node.name)

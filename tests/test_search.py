@@ -176,6 +176,11 @@ class TestLocalSearch:
             local_search_polytree(dist, 1, Structure(3, [(1, 2), (), ()]))
         assert is_polytree(diamond)
 
+    def test_refuses_a_seed_of_the_wrong_size(self):
+        dist = random_joint_distribution([2, 2, 2], seed=6)
+        with pytest.raises(ValidationError, match="seed has 4 nodes"):
+            local_search_polytree(dist, 2, Structure.empty(4))
+
     def test_matches_exact_often_on_small_instances(self):
         hits = 0
         total = 25
@@ -300,7 +305,8 @@ def _dense_joint(gadget: CompiledGadget) -> Distribution:
         bias = gadget.coin_biases[name]
         probs *= np.where(bits[name] == 1, bias, 1.0 - bias)
     table = np.zeros([m.arity for m in gadget.variables])
-    np.add.at(table, tuple(gadget._node_values(node, bits) for node in gadget.nodes), probs)
+    values = tuple(node.value(*(bits[c] for c in node.coins)) for node in gadget.nodes)
+    np.add.at(table, values, probs)
     return Distribution(gadget.variables, table)
 
 
