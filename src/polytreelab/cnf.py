@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, FormatError, ValidationError
+from .errors import CapExceededError, FormatError, ValidationError, open_text
 
 BEST_ASSIGNMENT_MAX_VARS = 20
 
@@ -175,7 +175,8 @@ def write_dimacs(formula: CnfFormula) -> str:
 
 
 def read_dimacs(path: str | Path) -> CnfFormula:
-    return parse_dimacs(Path(path).read_text(encoding="utf-8"))
+    with open_text(path) as fh:
+        return parse_dimacs(fh.read())
 
 
 def write_dimacs_file(formula: CnfFormula, path: str | Path) -> None:

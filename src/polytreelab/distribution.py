@@ -12,13 +12,21 @@ Conventions used throughout the package:
 - the joint state space is capped (default ``2**24`` states); constructors
   refuse larger tables and name the violated constraint.
 
-Entropies are computed by plug-in summation over the dense table. There is
-no factored representation: the toolkit targets small variable counts where
-exact enumeration is the whole point. Every entropy query goes through one
-memoised ``EntropyOracle`` per data source (``Distribution.oracle`` here,
-``CompiledGadget.oracle`` for the gadget), keyed by variable bitmask. It
-holds the single round-off rule: a value at most ``ENTROPY_CLAMP`` below
-zero, -0.0 included, reads +0.0; anything lower raises ``NumericsError``.
+Entropies are plug-in sums over marginals of the dense table. There is no
+factored representation: the toolkit targets small variable counts where
+exact enumeration is the whole point. ``DenseMarginals`` forms each marginal
+from run sums cached per ``Distribution`` and one ordered ``np.bincount``.
+It equals numpy's ``table.sum(axis=dropped)`` bit for bit because it repeats
+the order in which numpy reduces a C-contiguous table: pairwise over the
+contiguous stretch after the last kept axis, one element at a time across
+the rest. That order is numpy's behaviour, not its documented contract, so
+``tests/test_entropy_memo.py`` checks the identity on the installed numpy.
+
+Every entropy query goes through one memoised ``EntropyOracle`` per data
+source (``Distribution.oracle`` here, ``CompiledGadget.oracle`` for the
+gadget), keyed by variable bitmask. It holds the single round-off rule: a
+value at most ``ENTROPY_CLAMP`` below zero, -0.0 included, reads +0.0;
+anything lower raises ``NumericsError``.
 
 Dataset CSV bodies are parsed by ``np.loadtxt``; any body it rejects, or
 reads with another column count, is parsed again by the row loop, which is
@@ -32,12 +40,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, FormatError, NumericsError, ValidationError
+from .errors import CapExceededError, FormatError, NumericsError, ValidationError, open_text
 
 DEFAULT_STATE_CAP = 2**24
 # Parsers and round-trips may produce values this far below zero; clamp them.
@@ -85,6 +92,60 @@ class EntropyOracle:
         return value
 
 
+class DenseMarginals:
+    """Marginals of one C-contiguous joint table, each equal bit for bit to
+    ``table.sum(axis=dropped)``, formed from cached run sums.
+
+    numpy reduces such a table in C order, with its axes of size 1
+    coalesced away. The *trailing run* of a marginal is every axis after
+    its last kept axis of size > 1; it is one contiguous stretch per output
+    cell, and numpy sums each stretch pairwise and adds the result into the
+    cell. Every other dropped element is added into its cell one at a time.
+    So the run sums are numpy's own ``table.reshape(-1, L).sum(axis=1)``,
+    computed once per distinct run, and ``np.bincount``, which adds its
+    weights in input order, folds them into the cells. ``x + 0.0 == x``, so
+    only the non-zero run sums are kept and folded.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+        # first axis of a trailing run -> (C-order positions, values) of its
+        # non-zero run sums; at most one entry per axis, plus the whole table
+        self._runs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _run_sums(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        sums = self._table.reshape(-1, math.prod(self._table.shape[start:])).sum(axis=1)
+        positions = np.flatnonzero(sums)
+        return positions, sums[positions]
+
+    def flat(self, mask: int) -> np.ndarray:
+        """The marginal over the axes in ``mask``, kept ascending and
+        flattened in C order."""
+        shape = self._table.shape
+        kept = [i for i, a in enumerate(shape) if mask >> i & 1 and a > 1]
+        start = kept[-1] + 1 if kept else 0
+        run = self._runs.get(start)
+        if run is None:
+            run = self._runs[start] = self._run_sums(start)
+        positions, sums = run
+        # With every axis before the run kept, a run's position is its cell;
+        # otherwise its cell is the kept digits of its position, in C order.
+        keys = positions
+        if len(kept) < sum(a > 1 for a in shape[:start]):
+            keys = np.zeros_like(positions)
+            for i in kept:
+                stride = math.prod(shape[i + 1 : start])
+                keys *= shape[i]
+                keys += positions // stride
+                keys -= positions // (stride * shape[i]) * shape[i]
+        return np.bincount(keys, weights=sums, minlength=math.prod(shape[i] for i in kept))
+
+    def entropy(self, mask: int) -> float:
+        """Entropy of the marginal over the axes in ``mask``. The axes stay
+        ascending, so a set's bits do not depend on the order it was named in."""
+        return _entropy_of_flat(self.flat(mask))
+
+
 @dataclass(frozen=True)
 class VariableMeta:
     """Name and arity of one categorical variable (values ``0..arity-1``)."""
@@ -129,6 +190,7 @@ class Distribution:
 
     ``table`` has shape ``tuple(arity_i)``; it is validated, copied, and
     frozen on construction, so a ``Distribution`` can be shared freely.
+    ``marginals`` forms its marginals and ``oracle`` memoises their entropies.
     """
 
     variables: tuple[VariableMeta, ...]
@@ -164,7 +226,9 @@ class Distribution:
         arr.setflags(write=False)
         object.__setattr__(self, "variables", metas)
         object.__setattr__(self, "table", arr)
-        object.__setattr__(self, "oracle", EntropyOracle(partial(_table_entropy, arr)))
+        marginals = DenseMarginals(arr)
+        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "oracle", EntropyOracle(marginals.entropy))
 
     @property
     def n(self) -> int:
@@ -260,9 +324,8 @@ def marginal(dist: Distribution, variables: Sequence[int]) -> Distribution:
     axes = _axes_tuple(dist, variables)
     if not axes:
         raise ValidationError("marginal needs at least one variable")
-    drop = tuple(i for i in range(dist.n) if i not in axes)
-    table = dist.table.sum(axis=drop) if drop else dist.table
     order = tuple(sorted(axes))
+    table = dist.marginals.flat(_mask(axes)).reshape([dist.arities[a] for a in order])
     if axes != order:
         table = np.moveaxis(table, [order.index(a) for a in axes], range(len(axes)))
     return Distribution([dist.variables[a] for a in axes], table)
@@ -272,13 +335,6 @@ def _entropy_of_flat(probabilities: np.ndarray) -> float:
     p = probabilities.reshape(-1)
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
-
-
-def _table_entropy(table: np.ndarray, mask: int) -> float:
-    """Entropy of the marginal over the axes in ``mask``. The axes stay
-    ascending, so a set's bits do not depend on the order it was named in."""
-    drop = tuple(i for i in range(table.ndim) if not mask >> i & 1)
-    return _entropy_of_flat(np.asarray(table.sum(axis=drop) if drop else table))
 
 
 def _mask(axes: Iterable[int]) -> int:
@@ -380,7 +436,7 @@ def _read_body_numpy(fh, n_columns: int) -> np.ndarray | None:
 
 
 def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -447,7 +503,7 @@ def _json_arity(path: str, name: object, arity: object) -> int:
 
 
 def read_arity_sidecar(path: str) -> dict[str, int]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -458,7 +514,7 @@ def read_arity_sidecar(path: str) -> dict[str, int]:
 
 
 def read_distribution_json(path: str, *, max_states: int = DEFAULT_STATE_CAP) -> Distribution:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:

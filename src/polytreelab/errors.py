@@ -2,10 +2,13 @@
 
 All refusals carry a human-readable message; cap violations additionally
 name the constraint that failed so callers (and the CLI error JSON) can
-report it without parsing prose.
+report it without parsing prose. Every outside file is opened through
+``open_text``, so one that is not UTF-8 is refused as a ``FormatError``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class ToolkitError(Exception):
@@ -42,3 +45,14 @@ class InvariantError(ToolkitError):
 class MultiSinkError(ToolkitError):
     """A charge audit was asked to run on a polytree with a multi-sink
     component; the audit refuses rather than rewiring the structure."""
+
+
+@contextmanager
+def open_text(path, **open_args):
+    """``path`` opened to read as UTF-8 text. A byte that is not UTF-8 is a
+    malformed file like any other: it raises ``FormatError`` naming it."""
+    try:
+        with open(path, encoding="utf-8", **open_args) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None

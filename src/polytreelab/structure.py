@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .distribution import Distribution, conditional_entropy
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, open_text
 
 
 class UnionFind:
@@ -229,7 +229,7 @@ def structure_from_json_dict(doc: dict) -> tuple[Structure, tuple[str, ...]]:
 
 
 def read_structure_json(path: str) -> tuple[Structure, tuple[str, ...]]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -307,7 +307,7 @@ def structure_from_dot(text: str) -> tuple[Structure, tuple[str, ...]]:
 
 
 def read_structure_dot(path: str) -> tuple[Structure, tuple[str, ...]]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return structure_from_dot(fh.read())
 
 

@@ -746,6 +746,59 @@ def test_outside_input_is_refused(workdir, tmp_path, monkeypatch, case):
     assert fragment in doc["error"]["message"]
 
 
+# (files to write as bytes, arguments, the file that is not UTF-8); "{w}" is
+# the module's workdir. Each case reaches one reader of outside files.
+NOT_UTF8 = b"\xff\xfe"
+NOT_UTF8_READERS = {
+    "structure-json": (
+        {"s.json": NOT_UTF8 + b"{}"},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.json"],
+        "s.json",
+    ),
+    "structure-dot": (
+        {"s.dot": NOT_UTF8 + b"digraph {}"},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.dot"],
+        "s.dot",
+    ),
+    "dataset-csv": (
+        {"in.csv": NOT_UTF8 + b"A,B\n0,1\n"},
+        ["learn-branching", "--data", "in.csv"],
+        "in.csv",
+    ),
+    "distribution-json": (
+        {"d.json": NOT_UTF8 + b"{}"},
+        ["learn-branching", "--dist", "d.json"],
+        "d.json",
+    ),
+    "arity-sidecar": (
+        {"in.csv": b"A,B\n0,1\n", "ar.json": NOT_UTF8 + b"{}"},
+        ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
+        "ar.json",
+    ),
+    "dimacs-verify-gadget": (
+        {"in.cnf": NOT_UTF8 + b"p cnf 1 1\n1 0\n"},
+        ["verify-gadget", "in.cnf"],
+        "in.cnf",
+    ),
+    "dimacs-gen-cnf": (
+        {"in.cnf": NOT_UTF8 + b"p cnf 1 1\n1 0\n"},
+        ["gen", "cnf", "in.cnf"],
+        "in.cnf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_READERS))
+def test_input_that_is_not_utf8_is_refused(workdir, tmp_path, monkeypatch, case):
+    files, args, bad = NOT_UTF8_READERS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    doc = run_json([arg.replace("{w}", str(workdir)) for arg in args], expect_exit=1)
+    assert doc["error"]["type"] == "FormatError"
+    assert doc["error"]["message"].startswith(f"{bad}: not UTF-8 text")
+
+
 class TestDeterminismAndSchema:
     def test_reports_are_byte_identical_across_reruns(self, workdir):
         commands = [
