@@ -28,7 +28,10 @@ gadget), keyed by variable bitmask. It holds the single round-off rule: a
 value at most ``ENTROPY_CLAMP`` below zero, -0.0 included, reads +0.0;
 anything lower raises ``NumericsError``.
 
-Dataset CSV bodies are parsed by ``np.loadtxt``; any body it rejects, or
+A ``Dataset`` stores its rows once, read-only, in the narrowest unsigned
+dtype that holds its largest arity - 1 (``row_dtype``). A CSV body whose
+every line is ``d,d,...,d\n``, one digit per cell, is read byte by byte in
+numpy. Any other body goes to ``np.loadtxt``; any body it rejects, or
 reads with another column count, is parsed again by the row loop, which is
 the reference reading and the one that reports line-numbered errors.
 """
@@ -36,6 +39,7 @@ the reference reading and the one that reports line-numbered errors.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -53,6 +57,8 @@ PROB_SUM_TOL = 1e-9
 # Entropy sums this far below zero are float round-off; below it, a bug.
 ENTROPY_CLAMP = 1e-12
 _INT64 = np.iinfo(np.int64)
+# Rows per join of a dataset CSV body; bounds the writer's object arrays.
+CSV_WRITE_BLOCK_ROWS = 4096
 
 
 def _round_off(value: float, quantity: str) -> float:
@@ -249,16 +255,31 @@ class Distribution:
         raise ValidationError(f"no variable named {name!r}")
 
 
+def row_dtype(variables: Iterable[VariableMeta]) -> np.dtype:
+    """The narrowest unsigned dtype holding every value ``0..arity-1`` of
+    ``variables`` (a 64-bit integer input never holds more than uint64)."""
+    top = max(m.arity for m in variables) - 1
+    return np.min_scalar_type(min(top, 2**64 - 1))
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Rows of integer category values under a fixed variable order."""
+    """Rows of integer category values under a fixed variable order.
+
+    ``rows`` must be an integer array, each column within ``0..arity-1``;
+    only then is it stored, as one read-only C-order copy in ``row_dtype``
+    (uint8 for every arity up to 256), so a float, string or bool array is
+    refused rather than coerced and no value is wrapped by the narrowing.
+    """
 
     variables: tuple[VariableMeta, ...]
     rows: np.ndarray
 
     def __init__(self, variables: Iterable[VariableMeta], rows: np.ndarray):
         metas = _validated_variables(variables)
-        arr = np.asarray(rows, dtype=np.int64)
+        arr = np.asarray(rows)
+        if arr.dtype.kind not in "iu":
+            raise ValidationError(f"rows must hold integers, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != len(metas):
             raise ValidationError(
                 f"rows must be a 2-d array with {len(metas)} columns, got shape {arr.shape}"
@@ -269,7 +290,7 @@ class Dataset:
                 raise ValidationError(
                     f"column {meta.name!r} has values outside 0..{meta.arity - 1}"
                 )
-        arr = arr.copy(order="C")
+        arr = arr.astype(row_dtype(metas), order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "variables", metas)
         object.__setattr__(self, "rows", arr)
@@ -422,14 +443,46 @@ def bernoulli_bias_for_entropy(bits: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _read_digit_grid(body: str, n_columns: int) -> np.ndarray | None:
+    """``body`` as a uint8 matrix when every line of it is ``d,d,...,d\n``
+    with one digit per cell, else None. Such a line is ``2 * n_columns``
+    bytes, so the body is a byte grid of that width: digits in the even
+    columns, commas and a closing newline in the odd ones."""
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    width = 2 * n_columns
+    if not raw.size or raw.size % width:
+        return None
+    lines = raw.reshape(-1, width)
+    digits = lines[:, 0::2] - np.uint8(ord("0"))  # wraps every byte below "0" above 9
+    separators = np.frombuffer(b"," * (n_columns - 1) + b"\n", dtype=np.uint8)
+    if (digits > 9).any() or (lines[:, 1::2] != separators).any():
+        return None
+    return digits
+
+
 def _read_body_numpy(fh, n_columns: int) -> np.ndarray | None:
-    """The rest of ``fh`` as an int64 matrix, or None where ``np.loadtxt``
-    disagrees with the row loop's reading (it then raises or, for a body of
-    another width, returns a different column count)."""
+    """The rest of ``fh`` as an integer matrix, or None where the numpy
+    readings may disagree with the row loop's: the digit grid, else
+    ``np.loadtxt``, which then raises or, for a body of another width,
+    returns a different column count. A body that is not UTF-8 is left to
+    the row loop, which reports it as it reads from the start."""
+    try:
+        body = fh.read()
+    except UnicodeDecodeError:
+        return None
+    data = _read_digit_grid(body, n_columns)
+    if data is not None:
+        return data
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(
+                io.StringIO(body, newline=""),
+                dtype=np.int64,
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+            )
     except (ValueError, Warning):
         return None
     return data if data.shape[1] == n_columns else None
@@ -445,8 +498,8 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
         names = [h.strip() for h in header]
         if any(not n for n in names):
             raise FormatError(f"{path}: blank column name in header")
-        rows = _read_body_numpy(fh, len(names))
-        if rows is None:
+        data = _read_body_numpy(fh, len(names))
+        if data is None:
             # The row loop is the reference reading; it alone names the line
             # of a malformed row.
             fh.seek(0)
@@ -467,7 +520,7 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
                 if not all(_INT64.min <= v <= _INT64.max for v in values):
                     raise FormatError(f"{path}:{lineno}: value outside the int64 range")
                 rows.append(values)
-    data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
+            data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))
     metas = []
     for j, name in enumerate(names):
         if arities is not None and name in arities:
@@ -481,11 +534,12 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    """Names through ``csv.writer`` (they may need quoting), then the body in
-    one join. A ``Dataset`` holds non-negative ints, whose CSV field is their
-    decimal string, so each cell is looked up in a per-value table of those
-    strings followed by the cell's separator: a comma, or a newline in the
-    last column."""
+    """Names through ``csv.writer`` (they may need quoting), then the body
+    in joins of ``CSV_WRITE_BLOCK_ROWS`` rows, so the writer's memory does
+    not grow with the row count. A ``Dataset`` holds non-negative ints,
+    whose CSV field is their decimal string, so each cell is looked up in a
+    per-value table of those strings followed by the cell's separator: a
+    comma, or a newline in the last column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow([m.name for m in dataset.variables])
         if dataset.n_rows:
@@ -493,7 +547,9 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
             cells = np.array([[t + "," for t in text], [t + "\n" for t in text]], dtype=object)
             n = len(dataset.variables)
             last = (np.arange(n) == n - 1).astype(np.intp)
-            fh.write("".join(cells[last, dataset.rows].ravel().tolist()))
+            for start in range(0, dataset.n_rows, CSV_WRITE_BLOCK_ROWS):
+                block = dataset.rows[start : start + CSV_WRITE_BLOCK_ROWS]
+                fh.write("".join(cells[last, block].ravel().tolist()))
 
 
 def _json_arity(path: str, name: object, arity: object) -> int:

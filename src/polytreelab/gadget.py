@@ -66,6 +66,7 @@ from .distribution import (
     _round_off,
     bernoulli_bias_for_entropy,
     binary_entropy_bits,
+    row_dtype,
 )
 from .errors import CapExceededError, ValidationError
 from .structure import Structure, is_polytree, max_indegree
@@ -413,13 +414,22 @@ class CompiledGadget:
     # -- sampling -----------------------------------------------------------
 
     def sample_dataset(self, num_rows: int, seed: int) -> Dataset:
-        """Draw i.i.d. joint samples of every node, in node order."""
+        """Draw i.i.d. joint samples of every node, in node order.
+
+        One PCG64 stream draws one uniform vector per coin, in creation
+        order; a coin is 1 where its draw is below its bias. Each node's
+        values go straight into its column of one ``(num_rows, n)`` array in
+        the dataset's narrow ``row_dtype``.
+        """
         if num_rows < 1:
             raise ValidationError(f"num_rows must be >= 1, got {num_rows}")
         rng = np.random.Generator(np.random.PCG64(seed))
         bits = {name: rng.random(num_rows) < bias for name, bias in self.coin_biases.items()}
-        columns = [node.value(*(bits[c] for c in node.coins)) for node in self.nodes]
-        return Dataset(self.variables, np.stack(columns, axis=1))
+        variables = self.variables
+        rows = np.empty((num_rows, self.n), dtype=row_dtype(variables))
+        for j, node in enumerate(self.nodes):
+            rows[:, j] = node.value(*(bits[c] for c in node.coins))
+        return Dataset(variables, rows)
 
     # -- assignment-derived structures ---------------------------------------
 

@@ -199,6 +199,20 @@ LEDGER = [
             "six.json": "f2fa270c7b5229f30a6462aa40b18c4006d96cab058997627ef46d2180881449",
         },
     ),
+    # Two-digit cells, and a row count that is not a multiple of the
+    # writer's block.
+    (
+        [
+            "gen", "cnf", "six_variable.cnf",
+            "--blockers",
+            "--samples", "50000",
+            "--seed", "9",
+            "--out", "six50k.csv",
+        ],
+        0,
+        "63a6e1a275390af91d1166eb88f11a2b25d0fc134244fd03ffa10a937601bfa7",
+        {"six50k.csv": "f1bbf5dcb2fd52bc6f507bf5a7a08c7065053eab30ec92e6e1d696f6f5d1ad16"},
+    ),
 ]
 
 

@@ -1,5 +1,7 @@
-"""The numpy body parser against the reference row loop of ``read_dataset_csv``,
-and the one-join body of ``write_dataset_csv`` against a ``csv.writer`` loop."""
+"""The numpy body parsers against the reference row loop of
+``read_dataset_csv``: the fixed-width digit grid and ``np.loadtxt`` must each
+give the same ``Dataset``, or the same exception. And the block-joined body
+of ``write_dataset_csv`` against a ``csv.writer`` loop."""
 
 import csv
 import json
@@ -8,6 +10,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,13 +33,34 @@ FIELDS = st.one_of(
 )
 
 
+DIGIT_CELLS = st.integers(min_value=0, max_value=9).map(str)
+NUMBER_CELLS = st.integers(min_value=0, max_value=12).map(str)
+
+
 @st.composite
 def csv_documents(draw):
     n_cols = draw(st.integers(min_value=1, max_value=3))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    lines = [",".join(NAMES[:n_cols])]
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        kind = draw(st.sampled_from(["row", "row", "row", "blank", "space", "ragged", "trailing"]))
+    # A grid document is what the digit grid reads: one digit per cell, "\n"
+    # after every row. Clean ones hold only numbers; messy ones anything.
+    style = draw(st.sampled_from(["grid", "clean", "messy"]))
+    newline = "\n" if style == "grid" else draw(st.sampled_from(["\n", "\r\n"]))
+    names = list(NAMES[:n_cols])
+    header = ",".join(names)
+    if draw(st.booleans()):
+        names[0] += ",x"
+        header = ",".join(f'"{name}"' for name in names)
+    if draw(st.booleans()):
+        header = "\ufeff" + header
+    fields = {
+        "grid": DIGIT_CELLS,
+        "clean": draw(st.sampled_from([DIGIT_CELLS, NUMBER_CELLS])),
+        "messy": FIELDS,
+    }[style]
+    kinds = ["row", "row", "row", "blank", "space", "ragged", "trailing"]
+    kinds = kinds if style == "messy" else ["row"]
+    lines = [header]
+    for _ in range(draw(st.integers(min_value=int(style == "grid"), max_value=6))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             lines.append("")
         elif kind == "space":
@@ -45,14 +69,14 @@ def csv_documents(draw):
             width = n_cols
             if kind == "ragged":
                 width = draw(st.sampled_from([n_cols - 1, n_cols + 1]))
-            row = ",".join(draw(FIELDS) for _ in range(max(width, 1)))
+            row = ",".join(draw(fields) for _ in range(max(width, 1)))
             lines.append(row + ("," if kind == "trailing" else ""))
-    text = newline.join(lines)
-    if draw(st.booleans()):
-        text += newline
+    # No final newline, a final newline, or a blank last line.
+    ending = newline if style == "grid" else draw(st.sampled_from(["", newline, newline * 2]))
+    text = newline.join(lines) + ending
     sidecar = None
     if draw(st.booleans()):
-        sidecar = {name: draw(st.integers(min_value=1, max_value=6)) for name in NAMES[:n_cols]}
+        sidecar = {name: draw(st.integers(min_value=1, max_value=6)) for name in names}
     return text, sidecar
 
 
@@ -64,24 +88,71 @@ def _outcome(path, arities):
     return ("ok", [(m.name, m.arity) for m in ds.variables], ds.rows.shape, ds.rows.tolist())
 
 
-@settings(max_examples=300, deadline=None)
+def _row_loop_outcome(path, arities):
+    with mock.patch.object(distribution, "_read_body_numpy", return_value=None):
+        return _outcome(path, arities)
+
+
+def _loadtxt_outcome(path, arities):
+    with mock.patch.object(distribution, "_read_digit_grid", return_value=None):
+        return _outcome(path, arities)
+
+
+def _write(path, data: bytes):
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+@settings(max_examples=400, deadline=None)
 @given(csv_documents())
 def test_numpy_path_matches_row_loop(doc):
     text, sidecar = doc
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, text.encode())
         arities = None
         if sidecar is not None:
             side = os.path.join(tmp, "a.json")
             with open(side, "w", encoding="utf-8") as fh:
                 json.dump(sidecar, fh)
             arities = read_arity_sidecar(side)
-        fast = _outcome(path, arities)
-        with mock.patch.object(distribution, "_read_body_numpy", return_value=None):
-            reference = _outcome(path, arities)
-    assert fast == reference
+        reference = _row_loop_outcome(path, arities)
+        assert _outcome(path, arities) == reference
+        assert _loadtxt_outcome(path, arities) == reference
+
+
+# (name, file bytes, whether the digit grid reads the body)
+EDGE_CASES = [
+    ("grid", b"A,B,C\n0,1,9\n3,0,0\n", True),
+    ("bom", b"\xef\xbb\xbfA,B\n0,1\n1,0\n", True),
+    ("quoted-header", b'"A,x","B\ny"\n0,1\n1,0\n', True),
+    ("crlf", b"A,B\r\n0,1\r\n1,0\r\n", False),
+    ("no-final-newline", b"A,B\n0,1\n1,0", False),
+    ("blank-last-line", b"A,B\n0,1\n1,0\n\n", False),
+    ("multi-digit", b"A,B\n10,1\n3,0\n", False),
+    ("header-only", b"A,B\n", False),
+    ("quoted-cell", b'A,B\n"1",1\n1,0\n', False),
+    ("not-utf8", b"A,B\n" + b"0,1\n" * 5000 + b"\xff,0\n", False),
+]
+
+
+@pytest.mark.parametrize("data, gridded", [case[1:] for case in EDGE_CASES],
+                         ids=[case[0] for case in EDGE_CASES])
+def test_edge_cases_match_row_loop(tmp_path, data, gridded):
+    path = str(tmp_path / "d.csv")
+    _write(path, data)
+    arities = {"A": 4, "A,x": 2, "\ufeffA": 2, "B": 2}
+    grid = distribution._read_digit_grid
+    grids = []
+
+    def spy(body, n_columns):
+        grids.append(grid(body, n_columns))
+        return grids[-1]
+
+    with mock.patch.object(distribution, "_read_digit_grid", side_effect=spy):
+        outcome = _outcome(path, arities)
+    assert outcome == _row_loop_outcome(path, arities)
+    assert any(g is not None for g in grids) == gridded
 
 
 def _csv_writer_reference(dataset, path):
@@ -123,3 +194,18 @@ def test_writer_matches_csv_writer_and_reads_back(dataset):
     assert back.variables == dataset.variables
     assert back.rows.shape == dataset.rows.shape
     assert (back.rows == dataset.rows).all()
+
+
+def test_writer_matches_csv_writer_across_block_boundaries(tmp_path):
+    rows = 2 * distribution.CSV_WRITE_BLOCK_ROWS + 1
+    rng = np.random.default_rng(3)
+    metas = [VariableMeta("a", 2), VariableMeta("b b", 120), VariableMeta('c"', 7)]
+    data = np.stack([rng.integers(0, m.arity, size=rows) for m in metas], axis=1)
+    dataset = Dataset(metas, data)
+    path, reference = str(tmp_path / "d.csv"), str(tmp_path / "r.csv")
+    write_dataset_csv(dataset, path)
+    _csv_writer_reference(dataset, reference)
+    with open(path, "rb") as fh, open(reference, "rb") as ref:
+        assert fh.read() == ref.read()
+    back = read_dataset_csv(path, {m.name: m.arity for m in metas})
+    assert (back.rows == data).all()
