@@ -14,7 +14,6 @@ builder.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 
 import click
@@ -37,6 +36,7 @@ from .distribution import (
     read_arity_sidecar,
     read_dataset_csv,
     read_distribution_json,
+    write_arity_sidecar,
     write_dataset_csv,
     write_distribution_json,
 )
@@ -542,14 +542,7 @@ def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
     if samples > 0:
         write_dataset_csv(compiled.sample_dataset(samples, seed), out)
     if arities_out is not None:
-        with open(arities_out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {m.name: m.arity for m in compiled.variables},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        write_arity_sidecar(compiled.variables, arities_out)
     doc = dict(metadata)
     doc.update(
         {

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,7 +47,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, FormatError, NumericsError, ValidationError, open_text
+from .errors import (
+    CapExceededError,
+    FormatError,
+    NumericsError,
+    ValidationError,
+    open_text,
+    read_json,
+    write_json,
+)
 
 DEFAULT_STATE_CAP = 2**24
 # Parsers and round-trips may produce values this far below zero; clamp them.
@@ -301,29 +308,16 @@ class Dataset:
 
 
 def empirical_distribution(
-    dataset: Dataset,
-    *,
-    alpha: float = 0.0,
-    max_states: int = DEFAULT_STATE_CAP,
+    dataset: Dataset, *, max_states: int = DEFAULT_STATE_CAP
 ) -> Distribution:
-    """Plug-in joint estimate from ``dataset``.
-
-    ``alpha`` adds the same pseudocount to every joint state before
-    normalizing (0 keeps the raw relative frequencies). The dataset must be
-    non-empty unless ``alpha > 0``.
-    """
-    if alpha < 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    """Plug-in joint estimate from ``dataset``: the relative frequency of
+    every joint state. The dataset must be non-empty."""
     arities = tuple(m.arity for m in dataset.variables)
     states = _check_state_cap(arities, max_states)
-    if dataset.n_rows == 0 and alpha == 0.0:
+    if dataset.n_rows == 0:
         raise ValidationError("cannot estimate a distribution from zero rows with alpha=0")
-    if dataset.n_rows:
-        flat = np.ravel_multi_index(dataset.rows.T, arities)
-        counts = np.bincount(flat, minlength=states).astype(np.float64)
-    else:
-        counts = np.zeros(states, dtype=np.float64)
-    counts += alpha
+    flat = np.ravel_multi_index(dataset.rows.T, arities)
+    counts = np.bincount(flat, minlength=states).astype(np.float64)
     counts /= counts.sum()
     return Distribution(dataset.variables, counts, max_states=max_states)
 
@@ -559,22 +553,19 @@ def _json_arity(path: str, name: object, arity: object) -> int:
 
 
 def read_arity_sidecar(path: str) -> dict[str, int]:
-    with open_text(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: arity sidecar must be a JSON object of name -> arity")
     return {name: _json_arity(path, name, arity) for name, arity in raw.items()}
 
 
+def write_arity_sidecar(variables: Sequence[VariableMeta], path: str) -> None:
+    """The sidecar that ``read_arity_sidecar`` reads back: name -> arity."""
+    write_json({m.name: m.arity for m in variables}, path)
+
+
 def read_distribution_json(path: str, *, max_states: int = DEFAULT_STATE_CAP) -> Distribution:
-    with open_text(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    raw = read_json(path)
     if not isinstance(raw, dict) or "variables" not in raw or "probabilities" not in raw:
         raise FormatError(f"{path}: expected keys 'variables' and 'probabilities'")
     try:
@@ -600,6 +591,4 @@ def write_distribution_json(dist: Distribution, path: str) -> None:
         "variables": [{"name": m.name, "arity": m.arity} for m in dist.variables],
         "probabilities": [float(v) for v in dist.table.reshape(-1)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)

@@ -3,11 +3,14 @@
 All refusals carry a human-readable message; cap violations additionally
 name the constraint that failed so callers (and the CLI error JSON) can
 report it without parsing prose. Every outside file is opened through
-``open_text``, so one that is not UTF-8 is refused as a ``FormatError``.
+``open_text``, so one that is not UTF-8 is refused as a ``FormatError``,
+and a leading byte-order mark is skipped. ``read_json`` and ``write_json``
+frame every JSON artifact the package reads or writes.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 
 
@@ -49,10 +52,29 @@ class MultiSinkError(ToolkitError):
 
 @contextmanager
 def open_text(path, **open_args):
-    """``path`` opened to read as UTF-8 text. A byte that is not UTF-8 is a
-    malformed file like any other: it raises ``FormatError`` naming it."""
+    """``path`` opened to read as UTF-8 text, a leading byte-order mark
+    skipped. A byte that is not UTF-8 is a malformed file like any other: it
+    raises ``FormatError`` naming it."""
     try:
-        with open(path, encoding="utf-8", **open_args) as fh:
+        with open(path, encoding="utf-8-sig", **open_args) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def read_json(path):
+    """The JSON document in ``path``; text that is not JSON is a
+    ``FormatError`` naming the file."""
+    with open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def write_json(doc, path) -> None:
+    """``doc`` written to ``path`` as indented JSON with sorted keys and a
+    final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -63,6 +63,7 @@ from .distribution import (
     Dataset,
     EntropyOracle,
     VariableMeta,
+    _entropy_of_flat,
     _round_off,
     bernoulli_bias_for_entropy,
     binary_entropy_bits,
@@ -82,13 +83,16 @@ class GadgetParams:
 
     ``clause_bias`` is a constant, not a knob: the bias ``p`` below one half
     whose coin carries exactly half a bit of entropy, ``DEFAULT_CLAUSE_BIAS``
-    for every gadget. ``delta`` is derived from it. Blockers are the
+    for every gadget. ``xor_bias = 2p(1-p)`` and ``delta_bits =
+    1 - H(2p(1-p))`` are constants derived from it. Blockers are the
     optional satellite shield; when enabled, ``blocker_bias`` defaults to
     ``p`` and ``blocker_copies`` to 5, and the information constraint
     ``k (H(2q(1-q)) - H(q)) > 1`` is asserted.
     """
 
     clause_bias: ClassVar[float] = DEFAULT_CLAUSE_BIAS
+    xor_bias: ClassVar[float] = 2 * clause_bias * (1 - clause_bias)
+    delta_bits: ClassVar[float] = 1.0 - binary_entropy_bits(xor_bias)
     include_inedge_blockers: bool = False
     blocker_bias: float | None = None
     blocker_copies: int | None = None
@@ -111,15 +115,6 @@ class GadgetParams:
             raise ValidationError(
                 "blocker_bias/blocker_copies require include_inedge_blockers"
             )
-
-    @property
-    def xor_bias(self) -> float:
-        p = self.clause_bias
-        return 2 * p * (1 - p)
-
-    @property
-    def delta_bits(self) -> float:
-        return 1.0 - binary_entropy_bits(self.xor_bias)
 
     @property
     def effective_blocker_bias(self) -> float:
@@ -351,9 +346,7 @@ class CompiledGadget:
         for node in node_list:
             key += node.value(*(bits[c] for c in node.coins)) * radix
             radix *= node.arity
-        masses = np.bincount(key.ravel(), weights=probs, minlength=radix)
-        occupied = masses[masses > 1e-300]
-        return float(-(occupied * np.log2(occupied)).sum())
+        return _entropy_of_flat(np.bincount(key.ravel(), weights=probs, minlength=radix))
 
     def _mask(self, names: Sequence[str]) -> int:
         return sum({1 << self._index(name) for name in names})
@@ -423,6 +416,8 @@ class CompiledGadget:
         """
         if num_rows < 1:
             raise ValidationError(f"num_rows must be >= 1, got {num_rows}")
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         rng = np.random.Generator(np.random.PCG64(seed))
         bits = {name: rng.random(num_rows) < bias for name, bias in self.coin_biases.items()}
         variables = self.variables

@@ -76,6 +76,13 @@ def joint_from_conditionals(
     return Distribution(metas, table, max_states=max_states)
 
 
+def _xor_cpt(parents: int) -> np.ndarray:
+    """Conditional table of a binary node that is the xor of its ``parents``
+    binary parents, shaped for ``joint_from_conditionals``."""
+    parity = np.indices((2,) * parents).sum(axis=0) % 2
+    return (parity[..., None] == np.arange(2)).astype(np.float64)
+
+
 def parity_fixture(name: str) -> tuple[Distribution, Structure]:
     """Small parity distributions that defeat pairwise-score learners.
 
@@ -91,15 +98,9 @@ def parity_fixture(name: str) -> tuple[Distribution, Structure]:
     sources = 2 if name == "parity2" else 3
     n = sources + 1
     metas = [VariableMeta(f"X{i + 1}", 2) for i in range(n)]
-    table = np.zeros((2,) * n, dtype=np.float64)
-    weight = 1.0 / 2**sources
-    for bits in np.ndindex(*(2,) * sources):
-        x1 = 0
-        for b in bits:
-            x1 ^= int(b)
-        table[(x1, *bits)] = weight
     structure = Structure(n, [tuple(range(1, n))] + [()] * sources)
-    return Distribution(metas, table), structure
+    cpts = [_xor_cpt(sources)] + [np.full(2, 0.5)] * sources
+    return joint_from_conditionals(metas, structure, cpts), structure
 
 
 def xor_tree_family(
@@ -131,12 +132,8 @@ def xor_tree_family(
     for i in range(n):
         parents.append((2 * i + 1, 2 * i + 2) if i < first_leaf else ())
     structure = Structure(n, parents)
-    xor_cpt = np.zeros((2, 2, 2), dtype=np.float64)
-    for a in range(2):
-        for b in range(2):
-            xor_cpt[a, b, a ^ b] = 1.0
     leaf_cpt = np.array([1.0 - bias, bias], dtype=np.float64)
-    cpts = [xor_cpt if i < first_leaf else leaf_cpt for i in range(n)]
+    cpts = [_xor_cpt(2) if i < first_leaf else leaf_cpt for i in range(n)]
     dist = joint_from_conditionals(metas, structure, cpts, max_states=max_states)
     return dist, structure
 

@@ -18,13 +18,12 @@ and nothing scores worse than it.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .distribution import Distribution, conditional_entropy
-from .errors import FormatError, ValidationError, open_text
+from .errors import FormatError, ValidationError, open_text, read_json, write_json
 
 
 class UnionFind:
@@ -61,10 +60,13 @@ class Structure:
     def __init__(self, n: int, parents: Iterable[Iterable[int]]):
         if n < 1:
             raise ValidationError(f"a structure needs at least one node, got n={n}")
-        sets = tuple(frozenset(int(p) for p in ps) for ps in parents)
-        if len(sets) != n:
-            raise ValidationError(f"expected {n} parent sets, got {len(sets)}")
+        lists = [[int(p) for p in ps] for ps in parents]
+        if len(lists) != n:
+            raise ValidationError(f"expected {n} parent sets, got {len(lists)}")
+        sets = tuple(frozenset(ps) for ps in lists)
         for child, ps in enumerate(sets):
+            if len(ps) != len(lists[child]):
+                raise ValidationError(f"node {child} lists a parent twice: {lists[child]}")
             for p in ps:
                 if not 0 <= p < n:
                     raise ValidationError(f"parent index {p} out of range for n={n}")
@@ -82,7 +84,8 @@ class Structure:
         return sorted((p, c) for c, ps in enumerate(self.parents) for p in ps)
 
     def encoding(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical parent-set encoding used for deterministic tie-breaking."""
+        """Each node's parents as a sorted tuple, in node order: a hashable
+        view of the parent sets that reads the same for equal structures."""
         return tuple(tuple(sorted(ps)) for ps in self.parents)
 
     def __eq__(self, other: object) -> bool:
@@ -229,18 +232,11 @@ def structure_from_json_dict(doc: dict) -> tuple[Structure, tuple[str, ...]]:
 
 
 def read_structure_json(path: str) -> tuple[Structure, tuple[str, ...]]:
-    with open_text(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    return structure_from_json_dict(doc)
+    return structure_from_json_dict(read_json(path))
 
 
 def write_structure_json(structure: Structure, names: Sequence[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(structure_to_json_dict(structure, names), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(structure_to_json_dict(structure, names), path)
 
 
 def _quote(name: str) -> str:
@@ -296,9 +292,11 @@ def structure_from_dot(text: str) -> tuple[Structure, tuple[str, ...]]:
             if name not in index:
                 index[name] = len(names)
                 names.append(name)
-    parents: list[set[int]] = [set() for _ in names]
+    # Lists, not sets: an edge line given twice is a repeated parent, which
+    # ``Structure`` refuses.
+    parents: list[list[int]] = [[] for _ in names]
     for a, b in edges:
-        parents[index[b]].add(index[a])
+        parents[index[b]].append(index[a])
     try:
         structure = Structure(len(names), parents)
     except ValidationError as exc:

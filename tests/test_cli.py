@@ -206,9 +206,10 @@ class TestScoreCommand:
             {"parents": [[True], [], []]},
             {"names": ["X1", None, "X3"], "parents": [[], [], []]},
             {"names": ["X1", "", "X3"], "parents": [[], [], []]},
+            {"parents": [[1, 1], [], []]},
         ],
         ids=["entry-not-a-list", "float-index", "string-index", "bool-index", "null-name",
-             "empty-name"],
+             "empty-name", "repeated-parent"],
     )
     def test_malformed_structure_json_is_refused(self, workdir, tmp_path, command, structure):
         path = tmp_path / "structure.json"
@@ -564,6 +565,21 @@ class TestGenCnf:
         assert "--samples" in doc["error"]["message"]
         assert not out.exists()
 
+    def test_negative_seed_is_refused(self, workdir, tmp_path):
+        out = tmp_path / "s.csv"
+        doc = run_json(
+            [
+                "gen", "cnf", str(workdir / "single_variable.cnf"),
+                "--samples", "5",
+                "--seed", "-1",
+                "--out", str(out),
+            ],
+            expect_exit=1,
+        )
+        assert doc["error"]["type"] == "ValidationError"
+        assert doc["error"]["message"] == "seed must be >= 0, got -1"
+        assert not out.exists()
+
     def test_samples_without_out_are_refused(self, workdir):
         doc = run_json(
             ["gen", "cnf", str(workdir / "single_variable.cnf"), "--samples", "5"],
@@ -732,6 +748,11 @@ REFUSALS = {
         ["score", "--dist", "{w}/parity2.json", "--structure", "s.dot"],
         "FormatError", "unsupported DOT line",
     ),
+    "dot-duplicate-edge": (
+        {"s.dot": 'digraph structure {\n  "X2" -> "X1";\n  "X3";\n  "X2" -> "X1";\n}\n'},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.dot"],
+        "FormatError", "bad DOT structure: node 2 lists a parent twice: [1, 1]",
+    ),
 }
 
 
@@ -797,6 +818,56 @@ def test_input_that_is_not_utf8_is_refused(workdir, tmp_path, monkeypatch, case)
     doc = run_json([arg.replace("{w}", str(workdir)) for arg in args], expect_exit=1)
     assert doc["error"]["type"] == "FormatError"
     assert doc["error"]["message"].startswith(f"{bad}: not UTF-8 text")
+
+
+# (files to write as bytes, arguments, the file that gets a byte-order mark);
+# "{w}" is the module's workdir. Each case reaches one reader of outside files.
+BOM = b"\xef\xbb\xbf"
+BOM_READERS = {
+    "structure-json": (
+        {"s.json": b'{"names": ["X1", "X2", "X3"], "parents": [[1, 2], [], []]}'},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.json"],
+        "s.json",
+    ),
+    "structure-dot": (
+        {"s.dot": b'digraph structure {\n  "X2" -> "X1";\n  "X3" -> "X1";\n}\n'},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.dot"],
+        "s.dot",
+    ),
+    "dataset-csv": (
+        {"in.csv": b"A,B\n0,1\n1,1\n1,0\n"},
+        ["learn-branching", "--data", "in.csv"],
+        "in.csv",
+    ),
+    "distribution-json": (
+        {"d.json": b'{"variables": [{"name": "A", "arity": 2}], "probabilities": [0.25, 0.75]}'},
+        ["learn-branching", "--dist", "d.json"],
+        "d.json",
+    ),
+    "arity-sidecar": (
+        {"in.csv": b"A,B\n0,1\n", "ar.json": b'{"A": 3, "B": 2}'},
+        ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
+        "ar.json",
+    ),
+    "dimacs": (
+        {"in.cnf": b"p cnf 1 3\n1 0\n1 0\n-1 0\n"},
+        ["verify-gadget", "in.cnf"],
+        "in.cnf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_READERS))
+def test_a_leading_byte_order_mark_is_skipped(workdir, tmp_path, monkeypatch, case):
+    files, args, marked = BOM_READERS[case]
+    monkeypatch.chdir(tmp_path)
+    args = [arg.replace("{w}", str(workdir)) for arg in args]
+    outputs = []
+    for prefix in (b"", BOM):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(prefix + data if name == marked else data)
+        outputs.append(run(args).output)
+    assert outputs[0] == outputs[1]
 
 
 class TestDeterminismAndSchema:

@@ -141,7 +141,7 @@ EDGE_CASES = [
 def test_edge_cases_match_row_loop(tmp_path, data, gridded):
     path = str(tmp_path / "d.csv")
     _write(path, data)
-    arities = {"A": 4, "A,x": 2, "\ufeffA": 2, "B": 2}
+    arities = {"A": 4, "A,x": 2, "B": 2}
     grid = distribution._read_digit_grid
     grids = []
 
@@ -153,6 +153,16 @@ def test_edge_cases_match_row_loop(tmp_path, data, gridded):
         outcome = _outcome(path, arities)
     assert outcome == _row_loop_outcome(path, arities)
     assert any(g is not None for g in grids) == gridded
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    path = str(tmp_path / "d.csv")
+    _write(path, b"\xef\xbb\xbfA,B\n0,1\n1,0\n")
+    side = str(tmp_path / "a.json")
+    _write(side, b'{"A": 3}')
+    expected = [("A", 3), ("B", 2)]
+    assert _outcome(path, read_arity_sidecar(side))[1] == expected
+    assert _row_loop_outcome(path, read_arity_sidecar(side))[1] == expected
 
 
 def _csv_writer_reference(dataset, path):

@@ -209,12 +209,6 @@ class TestEmpirical:
             dist.table, np.array([[0.5, 0.25], [0.0, 0.25]]), atol=1e-12
         )
 
-    def test_laplace_smoothing_fills_support(self):
-        metas = [VariableMeta("A", 2)]
-        rows = np.array([[0], [0]])
-        dist = empirical_distribution(Dataset(metas, rows), alpha=1.0)
-        np.testing.assert_allclose(dist.table, np.array([0.75, 0.25]), atol=1e-12)
-
     def test_counts_match_add_at(self):
         rng = np.random.default_rng(11)
         metas = [VariableMeta("A", 3), VariableMeta("B", 2), VariableMeta("C", 4)]

@@ -39,6 +39,10 @@ class TestStructureValidation:
         with pytest.raises(ValidationError):
             Structure(2, [(2,), ()])
 
+    def test_rejects_a_parent_listed_twice(self):
+        with pytest.raises(ValidationError, match="node 0 lists a parent twice"):
+            Structure(3, [(1, 1), (), ()])
+
     def test_empty_factory(self):
         empty = Structure.empty(3)
         assert edge_count(empty) == 0
