@@ -39,6 +39,7 @@ from .distribution import (
     write_arity_sidecar,
     write_dataset_csv,
     write_distribution_json,
+    write_rows_csv,
 )
 from .errors import ToolkitError, ValidationError
 from .structure import Structure
@@ -540,7 +541,7 @@ def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
     if samples > 0 and out is None:
         raise ValidationError(f"--samples {samples} needs --out: sampled rows go to a dataset CSV")
     if samples > 0:
-        write_dataset_csv(compiled.sample_dataset(samples, seed), out)
+        write_rows_csv(compiled.variables, compiled.sample_blocks(samples, seed), out)
     if arities_out is not None:
         write_arity_sidecar(compiled.variables, arities_out)
     doc = dict(metadata)

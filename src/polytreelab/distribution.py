@@ -64,7 +64,8 @@ PROB_SUM_TOL = 1e-9
 # Entropy sums this far below zero are float round-off; below it, a bug.
 ENTROPY_CLAMP = 1e-12
 _INT64 = np.iinfo(np.int64)
-# Rows per join of a dataset CSV body; bounds the writer's object arrays.
+# Rows per block of a dataset CSV body: bounds the writer's object arrays and
+# the gadget sampler's coin vectors.
 CSV_WRITE_BLOCK_ROWS = 4096
 
 
@@ -315,9 +316,14 @@ def empirical_distribution(
     arities = tuple(m.arity for m in dataset.variables)
     states = _check_state_cap(arities, max_states)
     if dataset.n_rows == 0:
-        raise ValidationError("cannot estimate a distribution from zero rows with alpha=0")
-    flat = np.ravel_multi_index(dataset.rows.T, arities)
-    counts = np.bincount(flat, minlength=states).astype(np.float64)
+        raise ValidationError("cannot estimate a distribution from zero rows")
+    # The C-order flat index of each row, built column by column in intp
+    # (the state cap keeps it in range) without casting the narrow rows.
+    key = np.zeros(dataset.n_rows, dtype=np.intp)
+    for column, arity in zip(dataset.rows.T, arities):
+        key *= arity
+        key += column
+    counts = np.bincount(key, minlength=states).astype(np.float64)
     counts /= counts.sum()
     return Distribution(dataset.variables, counts, max_states=max_states)
 
@@ -527,23 +533,38 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
     return Dataset(metas, data)
 
 
-def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    """Names through ``csv.writer`` (they may need quoting), then the body
-    in joins of ``CSV_WRITE_BLOCK_ROWS`` rows, so the writer's memory does
-    not grow with the row count. A ``Dataset`` holds non-negative ints,
-    whose CSV field is their decimal string, so each cell is looked up in a
+def write_rows_csv(
+    variables: Sequence[VariableMeta], blocks: Iterable[np.ndarray], path: str
+) -> None:
+    """Write a dataset CSV from its rows in blocks: the names through
+    ``csv.writer`` (they may need quoting), then each ``(rows, n)`` block of
+    non-negative ints in one join, so the writer holds one block at a time.
+    An int's CSV field is its decimal string, so each cell is looked up in a
     per-value table of those strings followed by the cell's separator: a
-    comma, or a newline in the last column."""
+    comma, or a newline in the last column. The table grows to the largest
+    value seen so far."""
+    n = len(variables)
+    last = (np.arange(n) == n - 1).astype(np.intp)
+    cells = np.empty((2, 0), dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([m.name for m in dataset.variables])
-        if dataset.n_rows:
-            text = [str(v) for v in range(int(dataset.rows.max()) + 1)]
-            cells = np.array([[t + "," for t in text], [t + "\n" for t in text]], dtype=object)
-            n = len(dataset.variables)
-            last = (np.arange(n) == n - 1).astype(np.intp)
-            for start in range(0, dataset.n_rows, CSV_WRITE_BLOCK_ROWS):
-                block = dataset.rows[start : start + CSV_WRITE_BLOCK_ROWS]
-                fh.write("".join(cells[last, block].ravel().tolist()))
+        csv.writer(fh, lineterminator="\n").writerow([m.name for m in variables])
+        for block in blocks:
+            top = int(block.max()) + 1
+            if top > cells.shape[1]:
+                text = [str(v) for v in range(top)]
+                cells = np.array([[t + "," for t in text], [t + "\n" for t in text]], dtype=object)
+            fh.write("".join(cells[last, block].ravel().tolist()))
+
+
+def write_dataset_csv(dataset: Dataset, path: str) -> None:
+    """Write ``dataset`` as a CSV: ``write_rows_csv`` over slices of
+    ``CSV_WRITE_BLOCK_ROWS`` rows."""
+    rows = dataset.rows
+    blocks = (
+        rows[start : start + CSV_WRITE_BLOCK_ROWS]
+        for start in range(0, dataset.n_rows, CSV_WRITE_BLOCK_ROWS)
+    )
+    write_rows_csv(dataset.variables, blocks, path)
 
 
 def _json_arity(path: str, name: object, arity: object) -> int:

@@ -40,9 +40,9 @@ class NumericsError(ToolkitError):
 
 
 class InvariantError(ToolkitError):
-    """A search produced a structure outside the class it searches (for
-    example local search leaving the k-polytrees); a bug, reported rather
-    than returned."""
+    """A result broke a rule the program guarantees (for example local
+    search leaving the k-polytrees, or a gadget node sampling a value
+    outside its arity); a bug, reported rather than returned."""
 
 
 class MultiSinkError(ToolkitError):

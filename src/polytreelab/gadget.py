@@ -60,6 +60,7 @@ import numpy as np
 
 from .cnf import CnfFormula, best_assignment, satisfied_clauses
 from .distribution import (
+    CSV_WRITE_BLOCK_ROWS,
     Dataset,
     EntropyOracle,
     VariableMeta,
@@ -69,7 +70,7 @@ from .distribution import (
     binary_entropy_bits,
     row_dtype,
 )
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, InvariantError, ValidationError
 from .structure import Structure, is_polytree, max_indegree
 
 ENTROPY_QUERY_MAX_COINS = 20
@@ -214,7 +215,10 @@ class CompiledGadget:
     def _build_nodes(self) -> Iterator[GadgetNode]:
         """Every node with its coins, value rule and closed-form entropy.
 
-        Coins are created in the order ``sample_dataset`` draws them.
+        Coins are created in the order of their slices of the sampler's
+        stream: with ``N`` rows, coin ``i`` takes draws ``i*N .. (i+1)*N - 1``
+        of one PCG64 stream, and ``sample_blocks`` reads a block's rows of
+        that slice from the seeded state advanced to them.
         """
         p = self.params.clause_bias
         q = self.params.effective_blocker_bias
@@ -406,25 +410,53 @@ class CompiledGadget:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_dataset(self, num_rows: int, seed: int) -> Dataset:
-        """Draw i.i.d. joint samples of every node, in node order.
+    def sample_blocks(self, num_rows: int, seed: int) -> Iterator[np.ndarray]:
+        """Draw i.i.d. joint samples of every node, in node order, as
+        consecutive ``(rows, n)`` blocks of at most ``CSV_WRITE_BLOCK_ROWS``
+        rows in the dataset's narrow ``row_dtype``.
 
-        One PCG64 stream draws one uniform vector per coin, in creation
-        order; a coin is 1 where its draw is below its bias. Each node's
-        values go straight into its column of one ``(num_rows, n)`` array in
-        the dataset's narrow ``row_dtype``.
+        The draws are those of one PCG64 stream seeded with ``seed`` that
+        takes one uniform vector of ``num_rows`` draws per coin, in creation
+        order: coin ``i`` takes draws ``i*num_rows .. (i+1)*num_rows - 1``,
+        and is 1 where its draw is below its bias. A block reads rows
+        ``[lo, hi)`` of coin ``i`` from the seeded state advanced by
+        ``i*num_rows + lo``, so it holds only its own rows and the samples do
+        not depend on the block size. The arguments are checked here, before
+        the first block is asked for.
         """
         if num_rows < 1:
             raise ValidationError(f"num_rows must be >= 1, got {num_rows}")
         if seed < 0:
             raise ValidationError(f"seed must be >= 0, got {seed}")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        bits = {name: rng.random(num_rows) < bias for name, bias in self.coin_biases.items()}
-        variables = self.variables
-        rows = np.empty((num_rows, self.n), dtype=row_dtype(variables))
-        for j, node in enumerate(self.nodes):
-            rows[:, j] = node.value(*(bits[c] for c in node.coins))
-        return Dataset(variables, rows)
+        return self._sample_blocks(num_rows, seed)
+
+    def _sample_blocks(self, num_rows: int, seed: int) -> Iterator[np.ndarray]:
+        """The blocks of ``sample_blocks``. Each node's values are checked
+        against ``0..arity-1`` before they are narrowed into its column."""
+        bitgen = np.random.PCG64(seed)
+        start = bitgen.state
+        rng = np.random.Generator(bitgen)
+        dtype = row_dtype(self.variables)
+        for lo in range(0, num_rows, CSV_WRITE_BLOCK_ROWS):
+            size = min(CSV_WRITE_BLOCK_ROWS, num_rows - lo)
+            bits = {}
+            for i, (name, bias) in enumerate(self.coin_biases.items()):
+                bitgen.state = start
+                bitgen.advance(i * num_rows + lo)
+                bits[name] = rng.random(size) < bias
+            block = np.empty((size, self.n), dtype=dtype)
+            for j, node in enumerate(self.nodes):
+                values = node.value(*(bits[c] for c in node.coins))
+                if values.min() < 0 or values.max() >= node.arity:
+                    raise InvariantError(
+                        f"node {node.name} sampled a value outside 0..{node.arity - 1}"
+                    )
+                block[:, j] = values
+            yield block
+
+    def sample_dataset(self, num_rows: int, seed: int) -> Dataset:
+        """The rows of ``sample_blocks`` as one ``Dataset``."""
+        return Dataset(self.variables, np.concatenate(tuple(self.sample_blocks(num_rows, seed))))
 
     # -- assignment-derived structures ---------------------------------------
 

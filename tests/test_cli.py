@@ -580,6 +580,26 @@ class TestGenCnf:
         assert doc["error"]["message"] == "seed must be >= 0, got -1"
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    def test_a_refused_sampling_leaves_out_untouched(self, workdir, tmp_path, existing):
+        # The arguments are checked before --out is opened: a refused call
+        # neither creates the CSV nor truncates one already there.
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_text("A\n1\n")
+        run_json(
+            [
+                "gen", "cnf", str(workdir / "single_variable.cnf"),
+                "--samples", "5",
+                "--seed", "-1",
+                "--out", str(out),
+            ],
+            expect_exit=1,
+        )
+        assert out.exists() == existing
+        if existing:
+            assert out.read_text() == "A\n1\n"
+
     def test_samples_without_out_are_refused(self, workdir):
         doc = run_json(
             ["gen", "cnf", str(workdir / "single_variable.cnf"), "--samples", "5"],

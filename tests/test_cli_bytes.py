@@ -213,6 +213,32 @@ LEDGER = [
         "63a6e1a275390af91d1166eb88f11a2b25d0fc134244fd03ffa10a937601bfa7",
         {"six50k.csv": "f1bbf5dcb2fd52bc6f507bf5a7a08c7065053eab30ec92e6e1d696f6f5d1ad16"},
     ),
+    # Exactly one block of the sampler and the writer; then two full blocks
+    # and one row, with three-digit cells.
+    (
+        [
+            "gen", "cnf", "two_variable.cnf",
+            "--samples", "4096",
+            "--seed", "5",
+            "--out", "two4096.csv",
+        ],
+        0,
+        "ef95c016be01d0ee8ba5af9b0766525ec22c00ff9d5f3e8a846eb178c74c75f0",
+        {"two4096.csv": "a11c7a9d3c2c920235c785e1ca99a1817b4f47c803a2c87d391e6f241d2d25d6"},
+    ),
+    (
+        [
+            "gen", "cnf", "six_variable.cnf",
+            "--blockers",
+            "--blocker-copies", "6",
+            "--samples", "8193",
+            "--seed", "3",
+            "--out", "six8193.csv",
+        ],
+        0,
+        "c335d89b231fe45272b2e1e1d1fc101720736b3f257d19a4f655dbc3928a4766",
+        {"six8193.csv": "a08bea0ee8f6aa4eb4665fe37a6418ba7c809a3ccea5b4e2a05c1e52e074fc61"},
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 """How a ``Dataset`` stores its rows: integer input only, every value in range
 before the one narrow read-only copy, and the dtype rule that copy follows;
-plus the traced memory of sampling and writing a 50,000-row gadget dataset."""
+plus the traced memory of sampling and writing a 50,000-row gadget dataset,
+and of streaming 200,000 sampled rows into a CSV."""
 
 import tracemalloc
 
@@ -13,6 +14,7 @@ from polytreelab.distribution import (
     VariableMeta,
     read_dataset_csv,
     write_dataset_csv,
+    write_rows_csv,
 )
 from polytreelab.errors import ValidationError
 from polytreelab.gadget import GadgetParams, compile_cnf
@@ -101,3 +103,18 @@ def test_sampling_and_writing_six_variable_stay_bounded(tmp_path):
     assert dataset.rows.dtype == np.uint8
     assert sample_peak < bound
     assert write_peak < bound
+
+
+def test_streaming_gen_cnf_rows_does_not_grow_with_the_row_count(tmp_path):
+    # The `gen cnf` path: sampler blocks straight into the writer, so at
+    # 200,000 rows of 35 nodes it holds one 4,096-row block at a time.
+    formula = dict(bundled_formulas())["six_variable"]
+    gadget, _ = compile_cnf(formula, GadgetParams(include_inedge_blockers=True))
+    tracemalloc.start()
+    try:
+        blocks = gadget.sample_blocks(200_000, seed=9)
+        write_rows_csv(gadget.variables, blocks, str(tmp_path / "six.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -4,6 +4,7 @@ refusal past the coin cap, and a memory peak of a few ``2^c`` grids. Both the
 reference enumeration and a replay of ``sample_dataset`` read node values from
 a table written here from the construction, not from the nodes' own rules."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from polytreelab.cnf import bundled_formulas
-from polytreelab.distribution import EntropyOracle
-from polytreelab.errors import CapExceededError
+from polytreelab.distribution import CSV_WRITE_BLOCK_ROWS, EntropyOracle
+from polytreelab.errors import CapExceededError, InvariantError
 from polytreelab.gadget import (
     ENTROPY_QUERY_MAX_COINS,
     CompiledGadget,
@@ -179,11 +180,27 @@ def test_a_19_coin_query_peaks_below_four_grids():
 @pytest.mark.parametrize("name", [name for name, _ in bundled_formulas()])
 def test_sampled_columns_follow_the_construction(name, params):
     # Replays sample_dataset's draws: one PCG64 stream, one uniform vector
-    # per coin in creation order, a coin is 1 below its bias.
+    # per coin in creation order, a coin is 1 below its bias. The row counts
+    # are part of one block, a single row, and two full blocks plus a part.
     gadget = _gadget(name, **params)
-    rows, seed = 200, 11
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bits = {coin: rng.random(rows) < bias for coin, bias in gadget.coin_biases.items()}
-    data = gadget.sample_dataset(rows, seed).rows
-    for column, node in enumerate(gadget.nodes):
-        np.testing.assert_array_equal(data[:, column], reference_values(node, bits), node.name)
+    seed = 11
+    for rows in (200, 1, 2 * CSV_WRITE_BLOCK_ROWS + 3):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        bits = {coin: rng.random(rows) < bias for coin, bias in gadget.coin_biases.items()}
+        data = gadget.sample_dataset(rows, seed).rows
+        assert data.shape == (rows, gadget.n)
+        for column, node in enumerate(gadget.nodes):
+            np.testing.assert_array_equal(
+                data[:, column], reference_values(node, bits), f"{node.name} at {rows} rows"
+            )
+
+
+def test_a_sampled_value_outside_its_arity_is_an_invariant_error(monkeypatch):
+    gadget = _gadget("two_variable")
+    j = gadget.node_names.index("X1")
+    node = gadget.nodes[j]
+    bad = dataclasses.replace(node, value=lambda *bits: np.full(bits[0].shape, node.arity))
+    monkeypatch.setattr(gadget, "nodes", gadget.nodes[:j] + (bad,) + gadget.nodes[j + 1 :])
+    blocks = gadget.sample_blocks(10, seed=1)
+    with pytest.raises(InvariantError, match="X1 sampled a value outside 0..15"):
+        next(blocks)
