@@ -14,6 +14,7 @@ builder.
 from __future__ import annotations
 
 import functools
+import gc
 import sys
 
 import click
@@ -41,7 +42,7 @@ from .distribution import (
     write_distribution_json,
     write_rows_csv,
 )
-from .errors import ToolkitError, ValidationError
+from .errors import ToolkitError, ValidationError, check_tolerance
 from .structure import Structure
 
 
@@ -369,6 +370,7 @@ def verify_bounds_cmd(dist, k, exact_cap, jobs, tolerance):
 
     Exits 0 when every applicable inequality holds, 1 otherwise.
     """
+    check_tolerance(tolerance)
     search = _exact_search(dist, k, exact_cap, jobs)
     report = bounds_mod.verify_bounds(
         dist, search.best, search.branching, tolerance_bits=tolerance
@@ -586,5 +588,14 @@ def verify_gadget_cmd(compiled, _metadata, assignment, tolerance):
         sys.exit(1)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run ``main`` as a process: the entry of the ``polytreelab`` console
+    script and of ``python -m polytreelab``.
+
+    The heap built at import (numpy, click, this package) is frozen first,
+    so no later collection, the interpreter's last ones at exit included,
+    traverses or frees it. Calling ``main`` in process, as tests and
+    library callers do, freezes nothing of the caller's heap.
+    """
+    gc.freeze()
     main()

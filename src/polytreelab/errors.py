@@ -11,6 +11,7 @@ frame every JSON artifact the package reads or writes.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 
@@ -48,6 +49,13 @@ class InvariantError(ToolkitError):
 class MultiSinkError(ToolkitError):
     """A charge audit was asked to run on a polytree with a multi-sink
     component; the audit refuses rather than rewiring the structure."""
+
+
+def check_tolerance(tolerance_bits: float) -> None:
+    """Refuse an audit slack that is not a finite number of bits: with
+    ``inf`` every inequality passes and with ``nan`` every one fails."""
+    if not math.isfinite(tolerance_bits):
+        raise ValidationError(f"tolerance must be finite, got {tolerance_bits}")
 
 
 @contextmanager

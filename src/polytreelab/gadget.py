@@ -52,7 +52,6 @@ coins are refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
 
@@ -70,7 +69,7 @@ from .distribution import (
     binary_entropy_bits,
     row_dtype,
 )
-from .errors import CapExceededError, InvariantError, ValidationError
+from .errors import CapExceededError, InvariantError, ValidationError, check_tolerance
 from .structure import Structure, is_polytree, max_indegree
 
 ENTROPY_QUERY_MAX_COINS = 20
@@ -532,8 +531,7 @@ def verify_gadget(
     its two principals, per-layer entropy totals, and the score drop of the
     assignment-induced structure against ``m' (1/2 - delta) + n delta``.
     """
-    if not math.isfinite(tolerance_bits):
-        raise ValidationError(f"tolerance must be finite, got {tolerance_bits}")
+    check_tolerance(tolerance_bits)
     params = compiled.params
     formula = compiled.formula
     delta = params.delta_bits

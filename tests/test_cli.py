@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polytreelab import search as search_mod
 from polytreelab.branching import learn_optimal_branching, mutual_information_edges
 from polytreelab.cli import main
 from polytreelab.cnf import bundled_formulas, write_dimacs_file
@@ -344,6 +345,26 @@ class TestVerifyBounds:
         assert doc["kind"] == "error"
         assert doc["error"]["type"] == "ValidationError"
         assert "tolerance" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("extra", [[], ["--jobs", "0"]], ids=["alone", "jobs-0"])
+    def test_non_finite_tolerance_is_refused_before_the_search(
+        self, workdir, monkeypatch, extra
+    ):
+        def entered(*args, **kwargs):
+            raise AssertionError("the exact search ran")
+
+        monkeypatch.setattr(search_mod, "exact_optimal_polytree", entered)
+        doc = run_json(
+            [
+                "verify-bounds",
+                "--dist", str(workdir / "parity3.json"),
+                "--tolerance", "nan",
+                *extra,
+            ],
+            expect_exit=1,
+        )
+        assert doc["error"]["type"] == "ValidationError"
+        assert doc["error"]["message"] == "tolerance must be finite, got nan"
 
     def test_learns_the_branching_once(self, workdir, monkeypatch):
         learned = []

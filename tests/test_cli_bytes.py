@@ -1,7 +1,13 @@
 """Exact bytes of the command line: a sha256 ledger of one call per command
-on bundled fixtures, and the help of the options that commands share."""
+on bundled fixtures, the same bytes from the process entry, and the help of
+the options that commands share."""
 
+import gc
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import click
 import pytest
@@ -242,23 +248,84 @@ LEDGER = [
 ]
 
 
+# The ledger calls that also run as `python -m polytreelab` processes: an
+# artifact under --out, verify-bounds on it, the exit-1 refusal and the
+# three-block CSV.
+PROCESS_CALLS = [
+    "gen random --n 5 --seed 7 --out random5.json",
+    "verify-bounds --dist random5.json --k 2",
+    "gen cnf single_variable.cnf --samples 20 --seed 4",
+    "gen cnf six_variable.cnf --blockers --blocker-copies 6 --samples 8193 --seed 3"
+    " --out six8193.csv",
+]
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_every_command_prints_its_ledger_bytes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _write_inputs(directory) -> None:
+    """The fixtures the ledger reads, written into ``directory``."""
     for name in ("parity2", "parity3"):
         dist, generating = parity_fixture(name)
-        write_distribution_json(dist, f"{name}.json")
-        write_structure_json(generating, list(dist.names), f"{name}_structure.json")
+        write_distribution_json(dist, str(directory / f"{name}.json"))
+        write_structure_json(
+            generating, list(dist.names), str(directory / f"{name}_structure.json")
+        )
     for name, formula in bundled_formulas():
-        write_dimacs_file(formula, tmp_path / f"{name}.cnf")
+        write_dimacs_file(formula, directory / f"{name}.cnf")
+
+
+def _python(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """A fresh interpreter running ``args`` with this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=120
+    )
+
+
+def test_every_command_prints_its_ledger_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
     for args, code, stdout_sha, artifacts in LEDGER:
         result = CliRunner().invoke(main, args, catch_exceptions=False)
         assert (result.exit_code, _sha256(result.output.encode())) == (code, stdout_sha), args
         for path, sha in artifacts.items():
             assert _sha256((tmp_path / path).read_bytes()) == sha, path
+
+
+def test_the_process_entry_prints_the_ledger_bytes(tmp_path):
+    _write_inputs(tmp_path)
+    calls = [entry for entry in LEDGER if " ".join(entry[0]) in PROCESS_CALLS]
+    assert len(calls) == len(PROCESS_CALLS)
+    for args, code, stdout_sha, artifacts in calls:
+        proc = _python(["-m", "polytreelab", *args], tmp_path)
+        assert (proc.returncode, _sha256(proc.stdout)) == (code, stdout_sha), args
+        for path, sha in artifacts.items():
+            assert _sha256((tmp_path / path).read_bytes()) == sha, path
+
+
+def test_the_process_entry_freezes_the_start_up_heap(tmp_path):
+    # Runs __main__.py as `python -m polytreelab` does, and reports the
+    # frozen object count from an exit handler.
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['polytreelab', 'gen', 'example', '--name', 'parity2']\n"
+        "runpy.run_module('polytreelab', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = _python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) > 0
+
+
+def test_an_in_process_call_freezes_nothing():
+    before = gc.get_freeze_count()
+    result = CliRunner().invoke(main, ["gen", "example", "--name", "parity2"])
+    assert result.exit_code == 0, result.output
+    assert gc.get_freeze_count() == before
 
 
 def test_the_ledger_calls_every_command():
