@@ -16,7 +16,6 @@ from .bounds import (
     verify_subtree_charge_bound,
 )
 from .branching import (
-    brute_force_branching,
     learn_optimal_branching,
     mutual_information_edges,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "bernoulli_bias_for_entropy",
     "best_assignment",
     "binary_entropy_bits",
-    "brute_force_branching",
     "charge_report",
     "compile_cnf",
     "conditional_entropy",

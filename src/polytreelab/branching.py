@@ -7,9 +7,7 @@ A branching (each node has at most one parent, skeleton acyclic) scores
 so minimizing the score is the same as picking a maximum-weight forest of
 the pairwise mutual-information graph; the orientation of each tree is
 irrelevant to the score. ``learn_optimal_branching`` does exactly that with
-a deterministic Kruskal sweep over the edges (``branching_from_edges``);
-``brute_force_branching`` enumerates every branching outright and is kept
-as the independent oracle for tests.
+a deterministic Kruskal sweep over the edges (``branching_from_edges``).
 """
 
 from __future__ import annotations
@@ -18,15 +16,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .distribution import Distribution, conditional_entropy, entropy, mutual_information
-from .errors import CapExceededError, ValidationError
+from .distribution import Distribution, mutual_information
+from .errors import ValidationError
 from .structure import Structure, UnionFind
 
 # Edge weights at or below this are treated as exactly zero and never picked;
 # they cannot change the score by more than (n - 1) * OMEGA.
 OMEGA = 1e-12
-
-BRUTE_FORCE_MAX_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -98,51 +94,3 @@ def learn_optimal_branching(dist: Distribution) -> Structure:
     all-independent variables this returns the empty structure.
     """
     return branching_from_edges(dist.n, mutual_information_edges(dist))
-
-
-def brute_force_branching(dist: Distribution) -> Structure:
-    """Exhaustive oracle: try every parent assignment with at most one parent
-    per node and acyclic skeleton, return a minimizer of the score.
-
-    Ties are broken toward the lexicographically smallest parent-set
-    encoding, so the result is deterministic. Capped at
-    ``BRUTE_FORCE_MAX_NODES`` nodes (the assignment space is n^n).
-    """
-    n = dist.n
-    if n > BRUTE_FORCE_MAX_NODES:
-        raise CapExceededError(
-            f"brute-force branching enumerates n^n assignments; n={n} exceeds "
-            f"the cap of {BRUTE_FORCE_MAX_NODES}",
-            constraint="brute_force_branching_max_nodes",
-        )
-    h_alone = [entropy(dist, (i,)) for i in range(n)]
-    h_given = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                h_given[i][j] = conditional_entropy(dist, i, (j,))
-
-    best_score = float("inf")
-    best_key: tuple[tuple[int, ...], ...] | None = None
-    best_choice: tuple[int, ...] | None = None
-    # Parent choice per node: -1 for none, else the parent index.
-    options = [[-1] + [j for j in range(n) if j != i] for i in range(n)]
-    for choice in itertools.product(*options):
-        uf = UnionFind(n)
-        ok = True
-        for child, parent in enumerate(choice):
-            if parent >= 0 and not uf.union(parent, child):
-                ok = False
-                break
-        if not ok:
-            continue
-        total = 0.0
-        for child, parent in enumerate(choice):
-            total += h_alone[child] if parent < 0 else h_given[child][parent]
-        key = tuple(() if p < 0 else (p,) for p in choice)
-        if total < best_score or (total == best_score and best_key is not None and key < best_key):
-            best_score = total
-            best_key = key
-            best_choice = choice
-    assert best_choice is not None
-    return Structure(n, [() if p < 0 else (p,) for p in best_choice])

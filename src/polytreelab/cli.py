@@ -112,6 +112,8 @@ def _reads_dist(fn):
     def wrapper(dist_path, data_path, arities_path, max_states, **kwargs):
         if (dist_path is None) == (data_path is None):
             raise ValidationError("provide exactly one of --dist or --data")
+        if arities_path is not None and data_path is None:
+            raise ValidationError("--arities needs --data: a --dist joint declares its own arities")
         if dist_path is not None:
             dist = read_distribution_json(dist_path, max_states=max_states)
         else:
@@ -542,6 +544,8 @@ def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
         raise ValidationError(f"--samples must be >= 0, got {samples}")
     if samples > 0 and out is None:
         raise ValidationError(f"--samples {samples} needs --out: sampled rows go to a dataset CSV")
+    if samples == 0 and out is not None:
+        raise ValidationError("--out needs --samples above 0: the dataset CSV holds sampled rows")
     if samples > 0:
         write_rows_csv(compiled.variables, compiled.sample_blocks(samples, seed), out)
     if arities_out is not None:

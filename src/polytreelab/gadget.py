@@ -33,9 +33,11 @@ Optionally each satellite is shielded by two blocker nodes ``A`` and ``B``
 ``k (H(2q(1-q)) - H(q)) > 1`` so that adopting both blockers as parents is
 the only attractive option. This expansion is off by default.
 
-Each node carries its rule: ``CompiledGadget._build_nodes`` gives every
-node its coins, its value function and its closed-form entropy in one
-place, and the oracle, the sampler and the audit only call them.
+Each node is its XOR bit rows: ``CompiledGadget._build_nodes`` gives
+every node ``rows``, where bit ``t`` of its value is the XOR of the coins
+named in ``rows[t]``, and its closed-form entropy in one place. The oracle
+and the sampler both evaluate a node through ``GadgetNode.value``, and the
+audit only reads the closed forms.
 
 Full joints over all coins are astronomically large, so the compiled
 object is a sampler plus an exact ``EntropyOracle`` (``oracle``) whose
@@ -53,7 +55,8 @@ coins are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -129,23 +132,40 @@ class GadgetParams:
 
 @dataclass(frozen=True)
 class GadgetNode:
-    """One network node, the ancestor coins that determine its value, and
-    its rule.
+    """One network node as XOR bit rows over independent coins.
 
-    ``value`` maps its coins' bits, passed in ``coins`` order as arrays that
-    broadcast against each other, to the node's int64 values in their
-    broadcast shape; ``analytic_bits`` is its closed-form entropy. Both are
-    set next to the coins in ``CompiledGadget._build_nodes``, the one place
-    each kind's rule is written; ``kind`` is only a label.
+    Bit ``t`` of the node's value is the XOR of the coins named in
+    ``rows[t]``; ``analytic_bits`` is its closed-form entropy. Both are set
+    in ``CompiledGadget._build_nodes``, the one place each node's rule is
+    written, and ``arity`` and ``coins`` (the coins of the rows, in
+    first-seen order) follow from the rows.
     """
 
     name: str
-    kind: str
     layer: int
-    arity: int
-    coins: tuple[str, ...]
-    value: Callable[..., np.ndarray]
+    rows: tuple[tuple[str, ...], ...]
     analytic_bits: float
+
+    @cached_property
+    def arity(self) -> int:
+        return 1 << len(self.rows)
+
+    @cached_property
+    def coins(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(coin for row in self.rows for coin in row))
+
+    def value(self, bits: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The node's int64 values from its coins' bits, looked up by coin
+        name as 0/1 arrays that broadcast against each other, in their
+        broadcast shape. Each row is cast to int64 once, after its XOR."""
+        total = None
+        for row in reversed(self.rows):
+            bit = bits[row[0]]
+            for coin in row[1:]:
+                bit = bit ^ bits[coin]
+            bit = bit.astype(np.int64, copy=False)
+            total = bit if total is None else 2 * total + bit
+        return total
 
 
 @dataclass(frozen=True)
@@ -163,7 +183,6 @@ class SatisfyingPlan:
     satisfied_count: int
     allocation: dict[int, int]
     structure: Structure
-    node_names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -212,7 +231,7 @@ class CompiledGadget:
         self.oracle = EntropyOracle(self._coin_entropy)
 
     def _build_nodes(self) -> Iterator[GadgetNode]:
-        """Every node with its coins, value rule and closed-form entropy.
+        """Every node with its bit rows and closed-form entropy.
 
         Coins are created in the order of their slices of the sampler's
         stream: with ``N`` rows, coin ``i`` takes draws ``i*N .. (i+1)*N - 1``
@@ -227,67 +246,33 @@ class CompiledGadget:
             self.coin_biases[name] = bias
             return name
 
-        # Clause, plain satellite: the value is the coin.
-        def one_coin(c):
-            return c.astype(np.int64)
-
-        # Shielded satellite (r, a1..ak, b1..bk): r as the low bit, a_t xor b_t as bit t.
-        def shielded(r, *ab):
-            value = r.astype(np.int64)
-            for t, (a, b) in enumerate(zip(ab[:k], ab[k:]), 1):
-                value = value | (np.int64(1) << t) * (a ^ b)
-            return value
-
-        # Blocker (c1..ck): coin t as bit t-1.
-        def blocker(*cs):
-            return sum((np.int64(1) << t) * c.astype(np.int64) for t, c in enumerate(cs))
-
-        # Principal (ca, cb, cc, r, w, prev, next): (ca xor cb)*8 + (r xor cc xor w)*4
-        # + prev*2 + next.
-        def principal(ca, cb, cc, r, w, prev, nxt):
-            g1 = (ca ^ cb).astype(np.int64)
-            g2 = (r ^ cc ^ w).astype(np.int64)
-            return g1 * 8 + g2 * 4 + prev.astype(np.int64) * 2 + nxt.astype(np.int64)
-
-        # Chain (next_i, prev_i+1): their xor.
-        def chain(nxt, prev):
-            return (nxt ^ prev).astype(np.int64)
-
         for j in range(1, self.formula.num_clauses + 1):
-            yield GadgetNode(
-                f"C{j}", "clause", 1, 2, (coin(f"c{j}", p),), one_coin, binary_entropy_bits(p)
-            )
+            yield GadgetNode(f"C{j}", 1, ((coin(f"c{j}", p),),), binary_entropy_bits(p))
         for i in range(1, self.formula.num_vars + 1):
             if self.params.include_inedge_blockers:
+                # Blocker bit t-1 is its coin t; satellite bit t is a_t xor b_t.
                 a_coins = tuple(coin(f"a{i}_{t}", q) for t in range(1, k + 1))
                 b_coins = tuple(coin(f"b{i}_{t}", q) for t in range(1, k + 1))
                 for name, cs in ((f"A{i}", a_coins), (f"B{i}", b_coins)):
                     yield GadgetNode(
-                        name, "blocker", 2, 2**k, cs, blocker, k * binary_entropy_bits(q)
+                        name, 2, tuple((c,) for c in cs), k * binary_entropy_bits(q)
                     )
-                r_coins = (coin(f"r{i}", 0.5),) + a_coins + b_coins
                 yield GadgetNode(
-                    f"R{i}", "satellite", 2, 2 ** (k + 1), r_coins, shielded,
+                    f"R{i}", 2, ((coin(f"r{i}", 0.5),),) + tuple(zip(a_coins, b_coins)),
                     1.0 + k * binary_entropy_bits(2 * q * (1 - q)),
                 )
             else:
-                yield GadgetNode(f"R{i}", "satellite", 2, 2, (coin(f"r{i}", 0.5),), one_coin, 1.0)
+                yield GadgetNode(f"R{i}", 2, ((coin(f"r{i}", 0.5),),), 1.0)
             (a, _), (b, _), (c, _) = self.formula.occurrences(i)
-            principal_coins = (
-                f"c{a + 1}",
-                f"c{b + 1}",
-                f"c{c + 1}",
-                f"r{i}",
-                coin(f"w{i}", p),
-                coin(f"prev{i}", 0.5),
-                coin(f"next{i}", 0.5),
-            )
+            w, prev, nxt = coin(f"w{i}", p), coin(f"prev{i}", 0.5), coin(f"next{i}", 0.5)
+            # Principal: (next, prev, r xor cc xor w, ca xor cb), low bit first.
             yield GadgetNode(
-                f"X{i}", "principal", 2, 16, principal_coins, principal,
+                f"X{i}", 2,
+                ((nxt,), (prev,), (f"r{i}", f"c{c + 1}", w), (f"c{a + 1}", f"c{b + 1}")),
                 binary_entropy_bits(self.params.xor_bias) + 3.0,
             )
         for i in range(1, self.formula.num_vars):
-            yield GadgetNode(f"L{i}", "chain", 3, 2, (f"next{i}", f"prev{i + 1}"), chain, 1.0)
+            yield GadgetNode(f"L{i}", 3, ((f"next{i}", f"prev{i + 1}"),), 1.0)
 
     # -- lookups ---------------------------------------------------------
 
@@ -347,7 +332,7 @@ class CompiledGadget:
         key = np.zeros((2,) * c, dtype=np.int64)
         radix = 1
         for node in node_list:
-            key += node.value(*(bits[c] for c in node.coins)) * radix
+            key += node.value(bits) * radix
             radix *= node.arity
         return _entropy_of_flat(np.bincount(key.ravel(), weights=probs, minlength=radix))
 
@@ -376,9 +361,6 @@ class CompiledGadget:
         )
 
     # -- analytic targets and metadata -------------------------------------
-
-    def analytic_node_entropy_bits(self, name: str) -> float:
-        return self.node(name).analytic_bits
 
     def _layer_totals(
         self, node_bits: Callable[[GadgetNode], float]
@@ -445,7 +427,7 @@ class CompiledGadget:
                 bits[name] = rng.random(size) < bias
             block = np.empty((size, self.n), dtype=dtype)
             for j, node in enumerate(self.nodes):
-                values = node.value(*(bits[c] for c in node.coins))
+                values = node.value(bits)
                 if values.min() < 0 or values.max() >= node.arity:
                     raise InvariantError(
                         f"node {node.name} sampled a value outside 0..{node.arity - 1}"
@@ -480,9 +462,8 @@ class CompiledGadget:
             satisfying = [abs(lit) for lit in clause if (values[abs(lit) - 1] == 1) == (lit > 0)]
             if satisfying:
                 allocation[j] = min(satisfying)
-        names = self.node_names
         index = self._index_by_name
-        parents: list[tuple[int, ...]] = [() for _ in names]
+        parents: list[tuple[int, ...]] = [()] * self.n
         blockers = self.params.include_inedge_blockers
         for i in range(1, formula.num_vars + 1):
             if blockers:
@@ -501,8 +482,7 @@ class CompiledGadget:
             assignment=values,
             satisfied_count=satisfied,
             allocation=allocation,
-            structure=Structure(len(names), parents),
-            node_names=names,
+            structure=Structure(self.n, parents),
         )
 
 
@@ -597,7 +577,7 @@ def verify_gadget(
     drop = 0.0
     for i in range(1, formula.num_vars + 1):
         node_index = compiled._index_by_name[f"X{i}"]
-        given = tuple(plan.node_names[p] for p in plan.structure.parents[node_index])
+        given = tuple(compiled.nodes[p].name for p in plan.structure.parents[node_index])
         drop += compiled.entropy_decrease_bits(f"X{i}", given)
     expected_drop = plan.satisfied_count * (0.5 - delta) + formula.num_vars * delta
     check("assignment_drop", drop, expected_drop)

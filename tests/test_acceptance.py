@@ -10,8 +10,9 @@ import time
 
 import pytest
 
+from brute_force import brute_force_branching
 from polytreelab.bounds import entropy_range, verify_bounds
-from polytreelab.branching import brute_force_branching, learn_optimal_branching
+from polytreelab.branching import learn_optimal_branching
 from polytreelab.cnf import best_assignment, bundled_formulas
 from polytreelab.distribution import binary_entropy_bits, entropy
 from polytreelab.gadget import DEFAULT_CLAUSE_BIAS, compile_cnf, verify_gadget

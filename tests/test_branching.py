@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from brute_force import brute_force_branching
 from polytreelab.branching import (
-    BRUTE_FORCE_MAX_NODES,
     OMEGA,
     WeightedEdge,
-    brute_force_branching,
     learn_optimal_branching,
     mutual_information_edges,
 )
 from polytreelab.distribution import Distribution, VariableMeta
-from polytreelab.errors import CapExceededError, ValidationError
+from polytreelab.errors import ValidationError
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -100,9 +99,3 @@ class TestOracleEquivalence:
         table = np.full((2, 2), 0.25)
         dist = Distribution([VariableMeta("A", 2), VariableMeta("B", 2)], table)
         assert brute_force_branching(dist) == Structure.empty(2)
-
-    def test_brute_force_cap(self):
-        dist = random_joint_distribution([2] * (BRUTE_FORCE_MAX_NODES + 1), seed=0)
-        with pytest.raises(CapExceededError) as exc:
-            brute_force_branching(dist)
-        assert exc.value.constraint == "brute_force_branching_max_nodes"

@@ -630,6 +630,17 @@ class TestGenCnf:
         assert "--samples" in doc["error"]["message"]
         assert "--out" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("samples", [[], ["--samples", "0"]], ids=["default", "zero"])
+    def test_out_without_samples_is_refused(self, workdir, tmp_path, samples):
+        out = tmp_path / "x.csv"
+        doc = run_json(
+            ["gen", "cnf", str(workdir / "single_variable.cnf"), *samples, "--out", str(out)],
+            expect_exit=1,
+        )
+        assert doc["error"]["type"] == "ValidationError"
+        assert doc["error"]["message"].startswith("--out needs --samples above 0")
+        assert not out.exists()
+
 
 class TestVerifyGadget:
     def test_corpus_file_passes(self, workdir):
@@ -748,6 +759,11 @@ REFUSALS = {
         {"in.csv": "A,B\n0,1\n", "ar.json": "[2, 2]"},
         ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
         "FormatError", "must be a JSON object",
+    ),
+    "arities-with-dist": (
+        {"ar.json": '{"X1": 2}'},
+        ["learn-branching", "--dist", "{w}/parity2.json", "--arities", "ar.json"],
+        "ValidationError", "--arities needs --data",
     ),
     "dist-invalid-json": (
         {"d.json": "{"},

@@ -246,9 +246,11 @@ class TestCompiledGadget:
         assert compiled.node_names[3:7] == ("A1", "B1", "R1", "X1")
 
     def test_principal_coins_follow_occurrences(self):
+        # Low bit first: next, prev, r xor cc xor w, then ca xor cb for the
+        # same-polarity pair (c1, c2) and the remaining occurrence c3.
         compiled, _ = compile_cnf(corpus()["single_variable"])
-        assert compiled.node("X1").coins == (
-            "c1", "c2", "c3", "r1", "w1", "prev1", "next1"
+        assert compiled.node("X1").rows == (
+            ("next1",), ("prev1",), ("r1", "c3", "w1"), ("c1", "c2")
         )
 
     def test_arities(self):
@@ -353,7 +355,7 @@ class TestCompiledGadget:
         dist = empirical_distribution(dataset)
         for idx, name in enumerate(compiled.node_names):
             got = entropy(dist, [idx])
-            want = compiled.analytic_node_entropy_bits(name)
+            want = compiled.node(name).analytic_bits
             assert abs(got - want) < 0.02, name
 
 
@@ -364,7 +366,7 @@ class TestSatisfyingPlan:
         assert plan.assignment == (1,)
         assert plan.satisfied_count == 2
         assert plan.allocation == {0: 1, 1: 1}
-        index = {name: i for i, name in enumerate(plan.node_names)}
+        index = {name: i for i, name in enumerate(compiled.node_names)}
         assert plan.structure.encoding()[index["X1"]] == (
             index["C1"], index["C2"]
         )
@@ -374,7 +376,7 @@ class TestSatisfyingPlan:
         plan = compiled.plan_for_assignment((0,))
         assert plan.satisfied_count == 1
         assert plan.allocation == {2: 1}
-        index = {name: i for i, name in enumerate(plan.node_names)}
+        index = {name: i for i, name in enumerate(compiled.node_names)}
         assert plan.structure.encoding()[index["X1"]] == tuple(
             sorted((index["R1"], index["C3"]))
         )
@@ -428,7 +430,7 @@ class TestSatisfyingPlan:
     def test_chain_nodes_adopt_adjacent_principals(self):
         compiled, _ = compile_cnf(corpus()["three_variable"])
         plan = compiled.plan_for_assignment()
-        index = {name: i for i, name in enumerate(plan.node_names)}
+        index = {name: i for i, name in enumerate(compiled.node_names)}
         for i in (1, 2):
             parents = plan.structure.encoding()[index[f"L{i}"]]
             assert parents == tuple(

@@ -1,10 +1,10 @@
 """The broadcast coin enumeration of ``CompiledGadget._coin_entropy`` against
 the full-array enumeration it replaced: the same float, bit for bit, the same
 refusal past the coin cap, and a memory peak of a few ``2^c`` grids. Both the
-reference enumeration and a replay of ``sample_dataset`` read node values from
-a table written here from the construction, not from the nodes' own rules."""
+reference enumeration and a replay of ``sample_dataset`` read node coins and
+values from rules written here from the construction, not from the nodes' own
+bit rows."""
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -17,38 +17,61 @@ from polytreelab.errors import CapExceededError, InvariantError
 from polytreelab.gadget import (
     ENTROPY_QUERY_MAX_COINS,
     CompiledGadget,
+    GadgetNode,
     GadgetParams,
     compile_cnf,
     verify_gadget,
 )
 
 
-def reference_values(node, bits):
-    """The node's values from its coins' bits, per kind of the construction:
-    a clause is its coin; a satellite is ``r`` plus ``a_t xor b_t`` at bit
+def reference_node(gadget, name):
+    """The coins, arity and value rule of node ``name``, written here from
+    the construction: its kind is the letter of its name, and its coins are
+    named from its index, the formula's occurrences and the blocker copies.
+    A clause is its coin; a satellite is ``r`` plus ``a_t xor b_t`` at bit
     ``t``; a blocker holds coin ``t`` at bit ``t - 1``; a principal is
-    ``(ca xor cb)*8 + (r xor cc xor w)*4 + prev*2 + next``; a chain node is the
-    xor of its two coins."""
-    b = [bits[c].astype(np.int64) for c in node.coins]
-    if node.kind == "clause":
-        return b[0]
-    if node.kind == "satellite":
-        k = (len(b) - 1) // 2
-        return b[0] + sum((b[1 + t] ^ b[1 + k + t]) << (t + 1) for t in range(k))
-    if node.kind == "blocker":
-        return sum(bit << t for t, bit in enumerate(b))
-    if node.kind == "principal":
-        ca, cb, cc, r, w, prev, nxt = b
-        return (ca ^ cb) * 8 + (r ^ cc ^ w) * 4 + prev * 2 + nxt
-    assert node.kind == "chain", node.kind
-    return b[0] ^ b[1]
+    ``(ca xor cb)*8 + (r xor cc xor w)*4 + prev*2 + next``; a chain node is
+    the xor of its two coins. The value rule takes the coins' int64 bits in
+    the order of the coins."""
+    kind, i = name[0], int(name[1:])
+    k = gadget.params.effective_blocker_copies
+    if kind == "C":
+        return (f"c{i}",), 2, lambda c: c
+    if kind in "AB":
+        coins = tuple(f"{kind.lower()}{i}_{t}" for t in range(1, k + 1))
+        return coins, 2**k, lambda *b: sum(bit << t for t, bit in enumerate(b))
+    if kind == "R":
+        if not gadget.params.include_inedge_blockers:
+            return (f"r{i}",), 2, lambda r: r
+        a_coins, b_coins = reference_node(gadget, f"A{i}")[0], reference_node(gadget, f"B{i}")[0]
+
+        def shielded(r, *ab):
+            return r + sum((ab[t] ^ ab[k + t]) << (t + 1) for t in range(k))
+
+        return (f"r{i}",) + a_coins + b_coins, 2 ** (k + 1), shielded
+    if kind == "X":
+        (a, _), (b, _), (c, _) = gadget.formula.occurrences(i)
+        coins = (f"c{a + 1}", f"c{b + 1}", f"c{c + 1}", f"r{i}", f"w{i}", f"prev{i}", f"next{i}")
+
+        def principal(ca, cb, cc, r, w, prev, nxt):
+            return (ca ^ cb) * 8 + (r ^ cc ^ w) * 4 + prev * 2 + nxt
+
+        return coins, 16, principal
+    assert kind == "L", name
+    return (f"next{i}", f"prev{i + 1}"), 2, lambda nxt, prev: nxt ^ prev
+
+
+def reference_values(gadget, name, bits):
+    """Node ``name``'s values from the coins' bits, by ``reference_node``."""
+    coins, _, rule = reference_node(gadget, name)
+    return rule(*(bits[c].astype(np.int64) for c in coins))
 
 
 def reference_coin_entropy(gadget, mask):
     """Joint entropy of the nodes in ``mask`` with one full ``2^c`` bit array
     per coin: the enumeration ``_coin_entropy`` ran before its broadcast grid."""
-    node_list = [node for i, node in enumerate(gadget.nodes) if mask >> i & 1]
-    coin_names = sorted({c for node in node_list for c in node.coins})
+    names = [gadget.node_names[i] for i in range(gadget.n) if mask >> i & 1]
+    coin_names = sorted({c for name in names for c in reference_node(gadget, name)[0]})
     if len(coin_names) > ENTROPY_QUERY_MAX_COINS:
         raise CapExceededError(
             f"entropy query spans {len(coin_names)} coins, cap is "
@@ -67,9 +90,9 @@ def reference_coin_entropy(gadget, mask):
         probs *= np.where(bits[name] == 1, bias, 1.0 - bias)
     key = np.zeros(count, dtype=np.int64)
     radix = 1
-    for node in node_list:
-        key += reference_values(node, bits) * radix
-        radix *= node.arity
+    for name in names:
+        key += reference_values(gadget, name, bits) * radix
+        radix *= reference_node(gadget, name)[1]
     masses = np.bincount(key, weights=probs, minlength=radix)
     occupied = masses[masses > 1e-300]
     return float(-(occupied * np.log2(occupied)).sum())
@@ -79,12 +102,13 @@ def _signature(gadget, mask):
     """All that either enumeration reads of a query: the biases of its coins
     in sorted order and each node's kind, arity and coin ranks. Queries with
     one signature run the same arithmetic, so the reference runs once each."""
-    nodes = [node for i, node in enumerate(gadget.nodes) if mask >> i & 1]
-    coins = sorted({c for node in nodes for c in node.coins})
+    names = [gadget.node_names[i] for i in range(gadget.n) if mask >> i & 1]
+    nodes = [(name[0],) + reference_node(gadget, name)[:2] for name in names]
+    coins = sorted({c for _, node_coins, _ in nodes for c in node_coins})
     rank = {c: i for i, c in enumerate(coins)}
     return (
         tuple(gadget.coin_biases[c] for c in coins),
-        tuple((node.kind, node.arity, tuple(rank[c] for c in node.coins)) for node in nodes),
+        tuple((kind, arity, tuple(rank[c] for c in cs)) for kind, cs, arity in nodes),
     )
 
 
@@ -191,16 +215,21 @@ def test_sampled_columns_follow_the_construction(name, params):
         assert data.shape == (rows, gadget.n)
         for column, node in enumerate(gadget.nodes):
             np.testing.assert_array_equal(
-                data[:, column], reference_values(node, bits), f"{node.name} at {rows} rows"
+                data[:, column],
+                reference_values(gadget, node.name, bits),
+                f"{node.name} at {rows} rows",
             )
 
 
 def test_a_sampled_value_outside_its_arity_is_an_invariant_error(monkeypatch):
     gadget = _gadget("two_variable")
-    j = gadget.node_names.index("X1")
-    node = gadget.nodes[j]
-    bad = dataclasses.replace(node, value=lambda *bits: np.full(bits[0].shape, node.arity))
-    monkeypatch.setattr(gadget, "nodes", gadget.nodes[:j] + (bad,) + gadget.nodes[j + 1 :])
+    value = GadgetNode.value
+
+    def faulty(node, bits):
+        values = value(node, bits)
+        return np.full(values.shape, node.arity) if node.name == "X1" else values
+
+    monkeypatch.setattr(GadgetNode, "value", faulty)
     blocks = gadget.sample_blocks(10, seed=1)
     with pytest.raises(InvariantError, match="X1 sampled a value outside 0..15"):
         next(blocks)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from polytreelab.branching import brute_force_branching, learn_optimal_branching
+from brute_force import brute_force_branching
+from polytreelab.branching import learn_optimal_branching
 from polytreelab.cnf import bundled_formulas
 from polytreelab.distribution import Distribution, VariableMeta
 from polytreelab.errors import CapExceededError, InvariantError, ValidationError
@@ -305,7 +306,7 @@ def _dense_joint(gadget: CompiledGadget) -> Distribution:
         bias = gadget.coin_biases[name]
         probs *= np.where(bits[name] == 1, bias, 1.0 - bias)
     table = np.zeros([m.arity for m in gadget.variables])
-    values = tuple(node.value(*(bits[c] for c in node.coins)) for node in gadget.nodes)
+    values = tuple(node.value(bits) for node in gadget.nodes)
     np.add.at(table, values, probs)
     return Distribution(gadget.variables, table)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytreelab.branching import brute_force_branching, learn_optimal_branching
+from brute_force import brute_force_branching
+from polytreelab.branching import learn_optimal_branching
 from polytreelab.distribution import Distribution, VariableMeta, mutual_information
 from polytreelab.generators import random_joint_distribution
 from polytreelab.search import exact_optimal_polytree, local_search_polytree

@@ -41,12 +41,17 @@ def test_every_target_resolves(module_name, attr):
 
 @pytest.mark.parametrize("blockers", [False, True])
 def test_gadget_nodes_name_their_coins(blockers):
+    # gadget.coins_enumerated counts 2^len of the union of node.coins, so
+    # each node's coins are exactly the distinct coins of its bit rows.
     formula = dict(bundled_formulas())["two_variable"]
     gadget, _ = compile_cnf(formula, GadgetParams(include_inedge_blockers=blockers))
     for name in gadget.node_names:
-        coins = gadget.node(name).coins
-        assert isinstance(coins, tuple) and coins
-        assert all(coin in gadget.coin_biases for coin in coins)
+        node = gadget.node(name)
+        assert isinstance(node.coins, tuple) and node.coins
+        assert len(set(node.coins)) == len(node.coins)
+        assert set(node.coins) == {coin for row in node.rows for coin in row}
+        assert all(coin in gadget.coin_biases for coin in node.coins)
+        assert node.arity == 2 ** len(node.rows)
 
 
 def test_report_fields_are_search_report_fields():
