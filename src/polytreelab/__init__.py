@@ -19,7 +19,14 @@ from .branching import (
     learn_optimal_branching,
     mutual_information_edges,
 )
-from .cnf import CnfFormula, best_assignment, parse_dimacs, read_dimacs, satisfied_clauses
+from .cnf import (
+    CnfFormula,
+    best_assignment,
+    bundled_formulas,
+    parse_dimacs,
+    read_dimacs,
+    satisfied_clauses,
+)
 from .distribution import (
     Dataset,
     Distribution,
@@ -45,7 +52,6 @@ from .gadget import (
     CompiledGadget,
     GadgetAudit,
     GadgetParams,
-    compile_cnf,
     verify_gadget,
 )
 from .generators import (
@@ -55,6 +61,7 @@ from .generators import (
     random_polytree_instance,
     xor_tree_family,
 )
+from .reports import report_schema
 from .search import (
     SearchReport,
     exact_optimal_polytree,
@@ -86,8 +93,8 @@ __all__ = [
     "bernoulli_bias_for_entropy",
     "best_assignment",
     "binary_entropy_bits",
+    "bundled_formulas",
     "charge_report",
-    "compile_cnf",
     "conditional_entropy",
     "empirical_distribution",
     "entropy",
@@ -106,6 +113,7 @@ __all__ = [
     "random_joint_distribution",
     "random_polytree_instance",
     "read_dimacs",
+    "report_schema",
     "satisfied_clauses",
     "score",
     "verify_bounds",

@@ -153,6 +153,8 @@ def _structure_out(fn):
     )
     @functools.wraps(fn)
     def wrapper(dist, out, fmt, **kwargs):
+        if fmt == "dot" and out is None:
+            raise ValidationError("--format dot needs --out: it sets the format of that file")
         doc, structure = fn(dist, **kwargs)
         if out is not None:
             if fmt == "dot":
@@ -192,8 +194,8 @@ def _exact_search(
 
 def _reads_gadget(fn):
     """Declare the CNF argument and the blocker options, and call ``fn`` with
-    the compiled gadget and its metadata in their place. The DIMACS file is
-    read before the blocker options are checked."""
+    the compiled gadget in their place. The DIMACS file is read before the
+    blocker options are checked."""
 
     @_options(
         click.argument("cnf_path", type=click.Path()),
@@ -209,7 +211,7 @@ def _reads_gadget(fn):
             blocker_bias=blocker_bias,
             blocker_copies=blocker_copies,
         )
-        return fn(*gadget_mod.compile_cnf(formula, params), **kwargs)
+        return fn(gadget_mod.CompiledGadget(formula, params), **kwargs)
 
     return wrapper
 
@@ -479,6 +481,8 @@ def gen_example_cmd(name, out, structure_out, fmt):
     ``--format csv`` writes the support as an equal-weight dataset whose
     empirical joint reproduces the fixture exactly.
     """
+    if fmt == "csv" and out is None:
+        raise ValidationError("--format csv needs --out: it sets the format of that file")
     dist, generating = gen_mod.parity_fixture(name)
     if out is not None:
         if fmt == "csv":
@@ -538,7 +542,7 @@ def gen_random_cmd(n, k, arity, seed, edge_prob, max_states, out, structure_out)
     default=None,
     help="Arity sidecar JSON for the sampled dataset.",
 )
-def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
+def gen_cnf_cmd(compiled, samples, seed, out, arities_out):
     """Compile a restricted CNF into its layered hard distribution."""
     if samples < 0:
         raise ValidationError(f"--samples must be >= 0, got {samples}")
@@ -546,11 +550,12 @@ def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
         raise ValidationError(f"--samples {samples} needs --out: sampled rows go to a dataset CSV")
     if samples == 0 and out is not None:
         raise ValidationError("--out needs --samples above 0: the dataset CSV holds sampled rows")
+    # The metadata's entropy queries can be refused; they run before any file is written.
+    doc = compiled.metadata()
     if samples > 0:
         write_rows_csv(compiled.variables, compiled.sample_blocks(samples, seed), out)
     if arities_out is not None:
         write_arity_sidecar(compiled.variables, arities_out)
-    doc = dict(metadata)
     doc.update(
         {
             "kind": "gen",
@@ -573,7 +578,7 @@ def gen_cnf_cmd(compiled, metadata, samples, seed, out, arities_out):
     help="Comma-separated 0/1 values (default: exhaustive best).",
 )
 @click.option("--tolerance", type=float, default=1e-9, help="Slack in bits.")
-def verify_gadget_cmd(compiled, _metadata, assignment, tolerance):
+def verify_gadget_cmd(compiled, assignment, tolerance):
     """Audit a compiled CNF gadget against its analytic entropy targets.
 
     Exits 0 when every check passes, 1 otherwise.

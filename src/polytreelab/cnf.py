@@ -1,4 +1,4 @@
-"""Restricted CNF formulas and DIMACS round-tripping.
+"""Restricted CNF formulas, DIMACS parsing and the exhaustive MAXSAT oracle.
 
 The hardness construction consumes CNF instances of a specific shape: at
 most three literals per clause, no variable twice in the same clause, and
@@ -102,17 +102,16 @@ def satisfied_clauses(formula: CnfFormula, assignment: Sequence[int]) -> int:
     return count
 
 
-def best_assignment(
-    formula: CnfFormula, *, max_vars: int = BEST_ASSIGNMENT_MAX_VARS
-) -> tuple[tuple[int, ...], int]:
+def best_assignment(formula: CnfFormula) -> tuple[tuple[int, ...], int]:
     """Exhaustive maximum-satisfiability oracle for small formulas.
 
     Returns the lexicographically smallest assignment achieving the maximum
-    number of satisfied clauses, together with that count.
+    number of satisfied clauses, together with that count. Formulas over
+    more than ``BEST_ASSIGNMENT_MAX_VARS`` variables are refused.
     """
-    if formula.num_vars > max_vars:
+    if formula.num_vars > BEST_ASSIGNMENT_MAX_VARS:
         raise CapExceededError(
-            f"{formula.num_vars} variables exceeds the exhaustive cap {max_vars}",
+            f"{formula.num_vars} variables exceeds the exhaustive cap {BEST_ASSIGNMENT_MAX_VARS}",
             constraint="best_assignment_max_vars",
         )
     best: tuple[int, ...] | None = None
@@ -167,20 +166,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, clauses)
 
 
-def write_dimacs(formula: CnfFormula) -> str:
-    lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def read_dimacs(path: str | Path) -> CnfFormula:
     with open_text(path) as fh:
         return parse_dimacs(fh.read())
-
-
-def write_dimacs_file(formula: CnfFormula, path: str | Path) -> None:
-    Path(path).write_text(write_dimacs(formula), encoding="utf-8")
 
 
 def bundled_formulas() -> list[tuple[str, CnfFormula]]:

@@ -498,6 +498,9 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
         names = [h.strip() for h in header]
         if any(not n for n in names):
             raise FormatError(f"{path}: blank column name in header")
+        unknown = sorted(set(arities or ()) - set(names))
+        if unknown:
+            raise FormatError(f"{path}: arity sidecar keys {unknown} name no header column")
         data = _read_body_numpy(fh, len(names))
         if data is None:
             # The row loop is the reference reading; it alone names the line
@@ -538,33 +541,31 @@ def write_rows_csv(
 ) -> None:
     """Write a dataset CSV from its rows in blocks: the names through
     ``csv.writer`` (they may need quoting), then each ``(rows, n)`` block of
-    non-negative ints in one join, so the writer holds one block at a time.
-    An int's CSV field is its decimal string, so each cell is looked up in a
-    per-value table of those strings followed by the cell's separator: a
-    comma, or a newline in the last column. The table grows to the largest
-    value seen so far."""
+    non-negative ints in joins of at most ``CSV_WRITE_BLOCK_ROWS`` rows. So
+    the strings and object arrays the writer builds stay within that many
+    rows, however large the blocks it is handed; the blocks themselves are
+    the caller's. An int's CSV field is its decimal string, so each cell is
+    looked up in a per-value table of those strings followed by the cell's
+    separator: a comma, or a newline in the last column. The table grows to
+    the largest value seen so far."""
     n = len(variables)
     last = (np.arange(n) == n - 1).astype(np.intp)
     cells = np.empty((2, 0), dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow([m.name for m in variables])
         for block in blocks:
-            top = int(block.max()) + 1
+            top = int(block.max(initial=0)) + 1
             if top > cells.shape[1]:
                 text = [str(v) for v in range(top)]
                 cells = np.array([[t + "," for t in text], [t + "\n" for t in text]], dtype=object)
-            fh.write("".join(cells[last, block].ravel().tolist()))
+            for lo in range(0, len(block), CSV_WRITE_BLOCK_ROWS):
+                join = cells[last, block[lo : lo + CSV_WRITE_BLOCK_ROWS]]
+                fh.write("".join(join.ravel().tolist()))
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    """Write ``dataset`` as a CSV: ``write_rows_csv`` over slices of
-    ``CSV_WRITE_BLOCK_ROWS`` rows."""
-    rows = dataset.rows
-    blocks = (
-        rows[start : start + CSV_WRITE_BLOCK_ROWS]
-        for start in range(0, dataset.n_rows, CSV_WRITE_BLOCK_ROWS)
-    )
-    write_rows_csv(dataset.variables, blocks, path)
+    """Write ``dataset`` as a CSV: ``write_rows_csv`` over its rows."""
+    write_rows_csv(dataset.variables, (dataset.rows,), path)
 
 
 def _json_arity(path: str, name: object, arity: object) -> int:

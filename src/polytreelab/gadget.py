@@ -222,7 +222,7 @@ class CompiledGadget:
     read, so they take a compiled gadget as it is.
     """
 
-    def __init__(self, formula: CnfFormula, params: GadgetParams):
+    def __init__(self, formula: CnfFormula, params: GadgetParams = GadgetParams()):
         self.formula = formula
         self.params = params
         self.coin_biases: dict[str, float] = {}
@@ -484,17 +484,6 @@ class CompiledGadget:
             allocation=allocation,
             structure=Structure(self.n, parents),
         )
-
-
-def compile_cnf(
-    formula: CnfFormula, params: GadgetParams | None = None
-) -> tuple[CompiledGadget, dict]:
-    """Build the layered construction for a restricted CNF.
-
-    Returns the compiled sampler/query object and its metadata record.
-    """
-    compiled = CompiledGadget(formula, params or GadgetParams())
-    return compiled, compiled.metadata()
 
 
 def verify_gadget(

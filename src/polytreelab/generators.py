@@ -210,10 +210,3 @@ def random_polytree_instance(
         cpts.append(draws.reshape(shape))
     dist = joint_from_conditionals(metas, structure, cpts, max_states=max_states)
     return dist, structure
-
-
-def xor_tree_generating_score_bits(depth: int, eps: float) -> float:
-    """Score of the generating polytree: one ``eps`` per leaf."""
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
-    return float(2**depth) * eps

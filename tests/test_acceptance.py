@@ -15,7 +15,7 @@ from polytreelab.bounds import entropy_range, verify_bounds
 from polytreelab.branching import learn_optimal_branching
 from polytreelab.cnf import best_assignment, bundled_formulas
 from polytreelab.distribution import binary_entropy_bits, entropy
-from polytreelab.gadget import DEFAULT_CLAUSE_BIAS, compile_cnf, verify_gadget
+from polytreelab.gadget import DEFAULT_CLAUSE_BIAS, CompiledGadget, verify_gadget
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -215,7 +215,7 @@ class TestAcceptance:
         corpus = bundled_formulas()
         failures = []
         for name, formula in corpus:
-            compiled, _ = compile_cnf(formula)
+            compiled = CompiledGadget(formula)
             m, n = formula.num_clauses, formula.num_vars
             p = compiled.params.clause_bias
             alpha = compiled.params.xor_bias

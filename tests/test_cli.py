@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import shutil
 import sys
 
 import jsonschema
@@ -11,10 +13,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polytreelab
 from polytreelab import search as search_mod
 from polytreelab.branching import learn_optimal_branching, mutual_information_edges
 from polytreelab.cli import main
-from polytreelab.cnf import bundled_formulas, write_dimacs_file
 from polytreelab.distribution import (
     empirical_distribution,
     read_arity_sidecar,
@@ -22,12 +24,13 @@ from polytreelab.distribution import (
     read_distribution_json,
     write_distribution_json,
 )
+from polytreelab.errors import ToolkitError
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
     random_polytree_instance,
 )
-from polytreelab.reports import report_schema
+from polytreelab.reports import canonical_json, report_schema
 from polytreelab.structure import (
     read_structure_dot,
     read_structure_json,
@@ -37,6 +40,7 @@ from polytreelab.structure import (
 )
 
 SCHEMA = report_schema()
+CORPUS = pathlib.Path(polytreelab.__file__).parent / "data" / "cnf"
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +52,8 @@ def workdir(tmp_path_factory):
         write_structure_json(
             generating, list(dist.names), str(root / f"{name}_structure.json")
         )
-    for name, formula in bundled_formulas():
-        write_dimacs_file(formula, root / f"{name}.cnf")
+    for path in CORPUS.glob("*.cnf"):
+        shutil.copy(path, root)
     return root
 
 
@@ -484,6 +488,14 @@ class TestGenExample:
         exact, _ = parity_fixture("parity3")
         np.testing.assert_allclose(empirical.table, exact.table, atol=1e-12)
 
+    def test_json_artifact_is_the_fixture(self, tmp_path):
+        out = tmp_path / "parity2.json"
+        run_json(["gen", "example", "--name", "parity2", "--out", str(out)])
+        written = read_distribution_json(str(out))
+        exact, _ = parity_fixture("parity2")
+        assert written.variables == exact.variables
+        np.testing.assert_array_equal(written.table, exact.table)
+
     def test_unknown_name_is_usage_error(self, workdir):
         result = CliRunner().invoke(main, ["gen", "example", "--name", "parity9"])
         assert result.exit_code == 2
@@ -720,6 +732,11 @@ REFUSALS = {
         ["verify-gadget", "in.cnf"],
         "FormatError", "bad problem line",
     ),
+    "dimacs-problem-line-field-count": (
+        {"in.cnf": "p cnf 1\n1 0\n"},
+        ["verify-gadget", "in.cnf"],
+        "FormatError", "bad problem line",
+    ),
     "dimacs-bad-literal": (
         {"in.cnf": "p cnf 1 1\n1 y 0\n"},
         ["verify-gadget", "in.cnf"],
@@ -760,6 +777,11 @@ REFUSALS = {
         ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
         "FormatError", "must be a JSON object",
     ),
+    "sidecar-key-names-no-column": (
+        {"in.csv": "A,B\n0,1\n", "ar.json": '{"A": 2, "Bee": 5}'},
+        ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
+        "FormatError", "arity sidecar keys ['Bee'] name no header column",
+    ),
     "arities-with-dist": (
         {"ar.json": '{"X1": 2}'},
         ["learn-branching", "--dist", "{w}/parity2.json", "--arities", "ar.json"],
@@ -799,6 +821,46 @@ REFUSALS = {
         {},
         ["heuristic-polytree", "--dist", "{w}/parity2.json", "--k", "2", "--budget", "-1"],
         "ValidationError", "budget must be >= 0",
+    ),
+    "learn-branching-format-without-out": (
+        {},
+        ["learn-branching", "--dist", "{w}/parity2.json", "--format", "dot"],
+        "ValidationError", "--format dot needs --out",
+    ),
+    "exact-polytree-format-without-out": (
+        {},
+        ["exact-polytree", "--dist", "{w}/parity2.json", "--format", "dot"],
+        "ValidationError", "--format dot needs --out",
+    ),
+    "heuristic-polytree-format-without-out": (
+        {},
+        ["heuristic-polytree", "--dist", "{w}/parity2.json", "--k", "2", "--format", "dot"],
+        "ValidationError", "--format dot needs --out",
+    ),
+    "gen-example-format-without-out": (
+        {},
+        ["gen", "example", "--name", "parity2", "--format", "csv"],
+        "ValidationError", "--format csv needs --out",
+    ),
+    "structure-json-without-parents": (
+        {"s.json": "{}"},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.json"],
+        "FormatError", "structure JSON needs a 'parents' list",
+    ),
+    "structure-json-name-count": (
+        {"s.json": '{"names": ["X1"], "parents": [[], [], []]}'},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.json"],
+        "FormatError", "'names' must list exactly 3 names",
+    ),
+    "dot-unclosed": (
+        {"s.dot": 'digraph structure {\n  "X1";\n'},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.dot"],
+        "FormatError", "DOT input must end with '}'",
+    ),
+    "dot-duplicate-node": (
+        {"s.dot": 'digraph structure {\n  "X1";\n  "X2";\n  "X1";\n}\n'},
+        ["score", "--dist", "{w}/parity2.json", "--structure", "s.dot"],
+        "FormatError", "duplicate DOT node 'X1'",
     ),
     "dot-unsupported-line": (
         {"s.dot": "digraph structure {\n  X1 -> X2;\n}\n"},
@@ -928,6 +990,10 @@ def test_a_leading_byte_order_mark_is_skipped(workdir, tmp_path, monkeypatch, ca
 
 
 class TestDeterminismAndSchema:
+    def test_a_non_finite_report_value_is_refused(self):
+        with pytest.raises(ToolkitError, match="non-finite value inf in report"):
+            canonical_json({"ratio": [1.0, float("inf")]})
+
     def test_reports_are_byte_identical_across_reruns(self, workdir):
         commands = [
             ["learn-branching", "--dist", str(workdir / "parity2.json")],

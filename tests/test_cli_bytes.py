@@ -6,6 +6,7 @@ import gc
 import hashlib
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -14,7 +15,6 @@ import pytest
 from click.testing import CliRunner
 
 from polytreelab.cli import main
-from polytreelab.cnf import bundled_formulas, write_dimacs_file
 from polytreelab.distribution import write_distribution_json
 from polytreelab.generators import parity_fixture
 from polytreelab.structure import write_structure_json
@@ -274,8 +274,8 @@ def _write_inputs(directory) -> None:
         write_structure_json(
             generating, list(dist.names), str(directory / f"{name}_structure.json")
         )
-    for name, formula in bundled_formulas():
-        write_dimacs_file(formula, directory / f"{name}.cnf")
+    for path in (SRC / "polytreelab" / "data" / "cnf").glob("*.cnf"):
+        shutil.copy(path, directory)
 
 
 def _python(args: list[str], cwd) -> subprocess.CompletedProcess:

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polytreelab import cnf
 from polytreelab.cnf import (
     CnfFormula,
     best_assignment,
@@ -13,8 +15,6 @@ from polytreelab.cnf import (
     parse_dimacs,
     read_dimacs,
     satisfied_clauses,
-    write_dimacs,
-    write_dimacs_file,
 )
 from polytreelab.distribution import (
     binary_entropy_bits,
@@ -26,12 +26,13 @@ from polytreelab.gadget import (
     DEFAULT_BLOCKER_COPIES,
     DEFAULT_CLAUSE_BIAS,
     ENTROPY_QUERY_MAX_COINS,
+    CompiledGadget,
     GadgetParams,
-    compile_cnf,
     verify_gadget,
 )
 from polytreelab.structure import is_polytree, max_indegree
 
+CORPUS = Path(cnf.__file__).parent / "data" / "cnf"
 P = DEFAULT_CLAUSE_BIAS
 ALPHA = 2 * P * (1 - P)
 DELTA = 1.0 - binary_entropy_bits(ALPHA)
@@ -115,9 +116,10 @@ class TestCnfFormula:
         assert asg == (0, 0, 1)
         assert satisfied_clauses(corpus()["three_variable"], asg) == 3
 
-    def test_best_assignment_cap(self):
+    def test_best_assignment_cap(self, monkeypatch):
+        monkeypatch.setattr(cnf, "BEST_ASSIGNMENT_MAX_VARS", 2)
         with pytest.raises(CapExceededError) as exc:
-            best_assignment(corpus()["three_variable"], max_vars=2)
+            best_assignment(corpus()["three_variable"])
         assert exc.value.constraint == "best_assignment_max_vars"
 
     def test_corpus_contains_unsatisfiable_formula(self):
@@ -129,9 +131,9 @@ class TestCnfFormula:
 
 
 class TestDimacs:
-    def test_round_trip(self):
-        for _, f in bundled_formulas():
-            again = parse_dimacs(write_dimacs(f))
+    def test_reads_the_shipped_files(self):
+        for name, f in bundled_formulas():
+            again = read_dimacs(CORPUS / f"{name}.cnf")
             assert again.num_vars == f.num_vars
             assert again.clauses == f.clauses
 
@@ -155,14 +157,6 @@ class TestDimacs:
     def test_clause_count_mismatch(self):
         with pytest.raises(FormatError):
             parse_dimacs("p cnf 1 2\n1 0\n1 0\n-1 0\n")
-
-    def test_file_round_trip(self, tmp_path):
-        f = corpus()["four_variable"]
-        path = tmp_path / "instance.cnf"
-        write_dimacs_file(f, path)
-        again = read_dimacs(path)
-        assert again.clauses == f.clauses
-        assert again.num_vars == f.num_vars
 
 
 class TestBundledFormulas:
@@ -228,11 +222,11 @@ class TestGadgetParams:
 
 class TestCompiledGadget:
     def test_node_order_single_variable(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         assert compiled.node_names == ("C1", "C2", "C3", "R1", "X1")
 
     def test_node_order_three_variable(self):
-        compiled, _ = compile_cnf(corpus()["three_variable"])
+        compiled = CompiledGadget(corpus()["three_variable"])
         assert compiled.node_names == (
             "C1", "C2", "C3",
             "R1", "X1", "R2", "X2", "R3", "X3",
@@ -241,20 +235,20 @@ class TestCompiledGadget:
 
     def test_node_order_with_blockers(self):
         params = GadgetParams(include_inedge_blockers=True)
-        compiled, _ = compile_cnf(corpus()["three_variable"], params)
+        compiled = CompiledGadget(corpus()["three_variable"], params)
         assert len(compiled.node_names) == 17
         assert compiled.node_names[3:7] == ("A1", "B1", "R1", "X1")
 
     def test_principal_coins_follow_occurrences(self):
         # Low bit first: next, prev, r xor cc xor w, then ca xor cb for the
         # same-polarity pair (c1, c2) and the remaining occurrence c3.
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         assert compiled.node("X1").rows == (
             ("next1",), ("prev1",), ("r1", "c3", "w1"), ("c1", "c2")
         )
 
     def test_arities(self):
-        compiled, _ = compile_cnf(corpus()["three_variable"])
+        compiled = CompiledGadget(corpus()["three_variable"])
         by_name = {m.name: m.arity for m in compiled.variables}
         assert by_name["C1"] == 2
         assert by_name["R1"] == 2
@@ -263,13 +257,13 @@ class TestCompiledGadget:
 
     def test_blocker_arities(self):
         params = GadgetParams(include_inedge_blockers=True)
-        compiled, _ = compile_cnf(corpus()["single_variable"], params)
+        compiled = CompiledGadget(corpus()["single_variable"], params)
         by_name = {m.name: m.arity for m in compiled.variables}
         assert by_name["A1"] == 2**5
         assert by_name["R1"] == 2**6
 
     def test_exact_node_entropies(self):
-        compiled, _ = compile_cnf(corpus()["two_variable"])
+        compiled = CompiledGadget(corpus()["two_variable"])
         assert compiled.joint_entropy_bits(["C1"]) == pytest.approx(0.5, abs=1e-12)
         assert compiled.joint_entropy_bits(["R1"]) == pytest.approx(1.0, abs=1e-12)
         assert compiled.joint_entropy_bits(["X1"]) == pytest.approx(
@@ -278,7 +272,7 @@ class TestCompiledGadget:
         assert compiled.joint_entropy_bits(["L1"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_key_decreases_match_closed_forms(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         assert compiled.entropy_decrease_bits("X1", ("R1",)) == pytest.approx(
             DELTA, abs=1e-12
         )
@@ -293,18 +287,18 @@ class TestCompiledGadget:
         )
 
     def test_conditional_entropy_rejects_overlap(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         with pytest.raises(ValidationError):
             compiled.conditional_entropy_bits("X1", ("X1", "R1"))
 
     def test_unknown_node_rejected(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         with pytest.raises(ValidationError):
             compiled.joint_entropy_bits(["X9"])
 
     def test_entropy_query_coin_cap(self):
         params = GadgetParams(include_inedge_blockers=True)
-        compiled, _ = compile_cnf(corpus()["three_variable"], params)
+        compiled = CompiledGadget(corpus()["three_variable"], params)
         with pytest.raises(CapExceededError) as exc:
             compiled.joint_entropy_bits(["R1", "R2", "R3"])
         assert exc.value.constraint == "entropy_query_max_coins"
@@ -312,7 +306,7 @@ class TestCompiledGadget:
 
     def test_layer_totals_match_analytic(self):
         for name, formula in bundled_formulas():
-            compiled, _ = compile_cnf(formula)
+            compiled = CompiledGadget(formula)
             observed = compiled.layer_entropy_bits()
             analytic = compiled.analytic_layer_entropy_bits()
             for got, want in zip(observed, analytic):
@@ -325,8 +319,7 @@ class TestCompiledGadget:
             assert analytic[2] == pytest.approx(n - 1.0, abs=1e-12)
 
     def test_metadata_shape(self):
-        compiled, meta = compile_cnf(corpus()["two_variable"])
-        assert meta == compiled.metadata()
+        meta = CompiledGadget(corpus()["two_variable"]).metadata()
         assert meta["num_clauses"] == 3
         assert meta["num_variables"] == 2
         assert meta["clause_bias"] == pytest.approx(P)
@@ -335,7 +328,7 @@ class TestCompiledGadget:
         assert len(meta["layer_entropy_bits"]) == 3
 
     def test_sampling_is_deterministic_and_in_range(self):
-        compiled, _ = compile_cnf(corpus()["two_variable"])
+        compiled = CompiledGadget(corpus()["two_variable"])
         a = compiled.sample_dataset(500, seed=3)
         b = compiled.sample_dataset(500, seed=3)
         np.testing.assert_array_equal(a.rows, b.rows)
@@ -345,12 +338,12 @@ class TestCompiledGadget:
         assert tuple(m.name for m in a.variables) == compiled.node_names
 
     def test_sampling_rejects_empty(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         with pytest.raises(ValidationError):
             compiled.sample_dataset(0, seed=1)
 
     def test_sampled_marginals_approach_exact_entropies(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         dataset = compiled.sample_dataset(200_000, seed=11)
         dist = empirical_distribution(dataset)
         for idx, name in enumerate(compiled.node_names):
@@ -361,7 +354,7 @@ class TestCompiledGadget:
 
 class TestSatisfyingPlan:
     def test_default_assignment_hosts_majority_pair(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         plan = compiled.plan_for_assignment()
         assert plan.assignment == (1,)
         assert plan.satisfied_count == 2
@@ -372,7 +365,7 @@ class TestSatisfyingPlan:
         )
 
     def test_unsatisfying_polarity_hosts_satellite_and_minority(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         plan = compiled.plan_for_assignment((0,))
         assert plan.satisfied_count == 1
         assert plan.allocation == {2: 1}
@@ -383,7 +376,7 @@ class TestSatisfyingPlan:
 
     def test_plans_are_polytrees_with_indegree_two(self):
         for name, formula in bundled_formulas():
-            compiled, _ = compile_cnf(formula)
+            compiled = CompiledGadget(formula)
             plan = compiled.plan_for_assignment()
             assert is_polytree(plan.structure), name
             assert max_indegree(plan.structure) <= 2, name
@@ -391,7 +384,7 @@ class TestSatisfyingPlan:
 
     def test_every_allocated_clause_is_satisfied_by_its_host(self):
         for _, formula in bundled_formulas():
-            compiled, _ = compile_cnf(formula)
+            compiled = CompiledGadget(formula)
             plan = compiled.plan_for_assignment()
             for j, i in plan.allocation.items():
                 clause = formula.clauses[j]
@@ -404,7 +397,7 @@ class TestSatisfyingPlan:
         # child, a principal whose literal satisfies it; the rest have none.
         params = GadgetParams(include_inedge_blockers=blockers)
         for name, formula in bundled_formulas():
-            compiled, _ = compile_cnf(formula, params)
+            compiled = CompiledGadget(formula, params)
             index = {node: i for i, node in enumerate(compiled.node_names)}
             for bits in itertools.product((0, 1), repeat=formula.num_vars):
                 plan = compiled.plan_for_assignment(bits)
@@ -428,7 +421,7 @@ class TestSatisfyingPlan:
                 assert plan.satisfied_count == satisfied == len(plan.allocation)
 
     def test_chain_nodes_adopt_adjacent_principals(self):
-        compiled, _ = compile_cnf(corpus()["three_variable"])
+        compiled = CompiledGadget(corpus()["three_variable"])
         plan = compiled.plan_for_assignment()
         index = {name: i for i, name in enumerate(compiled.node_names)}
         for i in (1, 2):
@@ -438,7 +431,7 @@ class TestSatisfyingPlan:
             )
 
     def test_rejects_bad_assignment_length(self):
-        compiled, _ = compile_cnf(corpus()["two_variable"])
+        compiled = CompiledGadget(corpus()["two_variable"])
         with pytest.raises(ValidationError):
             compiled.plan_for_assignment((1,))
         with pytest.raises(ValidationError):
@@ -448,7 +441,7 @@ class TestSatisfyingPlan:
 class TestVerifyGadget:
     def test_corpus_audits_pass(self):
         for name, formula in bundled_formulas():
-            compiled, _ = compile_cnf(formula)
+            compiled = CompiledGadget(formula)
             audit = verify_gadget(compiled)
             assert audit.ok, name
             assert audit.structure_is_polytree
@@ -457,13 +450,13 @@ class TestVerifyGadget:
 
     def test_expected_drop_closed_form(self):
         for _, formula in bundled_formulas():
-            compiled, _ = compile_cnf(formula)
+            compiled = CompiledGadget(formula)
             audit = verify_gadget(compiled)
             want = audit.satisfied_count * (0.5 - DELTA) + formula.num_vars * DELTA
             assert audit.expected_drop_bits == pytest.approx(want, abs=1e-12)
 
     def test_audit_rows_cover_all_checks(self):
-        compiled, _ = compile_cnf(corpus()["two_variable"])
+        compiled = CompiledGadget(corpus()["two_variable"])
         audit = verify_gadget(compiled)
         names = [row.name for row in audit.rows]
         assert "entropy[X1]" in names
@@ -477,7 +470,7 @@ class TestVerifyGadget:
 
     def test_blockers_audit_passes_with_residual_rows(self):
         params = GadgetParams(include_inedge_blockers=True)
-        compiled, _ = compile_cnf(corpus()["single_variable"], params)
+        compiled = CompiledGadget(corpus()["single_variable"], params)
         audit = verify_gadget(compiled)
         assert audit.ok
         rows = {row.name: row for row in audit.rows}
@@ -485,7 +478,7 @@ class TestVerifyGadget:
         assert rows["residual[R1|A1,B1]"].passed
 
     def test_explicit_assignment_changes_drop(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         best = verify_gadget(compiled)
         worse = verify_gadget(compiled, (0,))
         assert worse.ok
@@ -493,7 +486,7 @@ class TestVerifyGadget:
         assert best.expected_drop_bits > worse.expected_drop_bits
 
     def test_impossible_tolerance_fails_loudly(self):
-        compiled, _ = compile_cnf(corpus()["single_variable"])
+        compiled = CompiledGadget(corpus()["single_variable"])
         audit = verify_gadget(compiled, tolerance_bits=-1.0)
         assert not audit.ok
         assert not any(row.passed for row in audit.rows)
@@ -619,7 +612,7 @@ class TestPrivateCoinJustification:
 class TestBlockerInformationBudget:
     def test_expanded_satellite_entropies(self):
         params = GadgetParams(include_inedge_blockers=True)
-        compiled, _ = compile_cnf(corpus()["single_variable"], params)
+        compiled = CompiledGadget(corpus()["single_variable"], params)
         k = params.effective_blocker_copies
         q = params.effective_blocker_bias
         assert compiled.joint_entropy_bits(["A1"]) == pytest.approx(
@@ -637,7 +630,7 @@ class TestBlockerInformationBudget:
         # decrease it buys stays below the one extra bit the satellite
         # would need to lose to be worth an in-edge.
         params = GadgetParams(include_inedge_blockers=True)
-        compiled, _ = compile_cnf(corpus()["single_variable"], params)
+        compiled = CompiledGadget(corpus()["single_variable"], params)
         k = params.effective_blocker_copies
         q = params.effective_blocker_bias
         drop = compiled.entropy_decrease_bits("R1", ("A1",))

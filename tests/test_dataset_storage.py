@@ -1,8 +1,11 @@
 """How a ``Dataset`` stores its rows: integer input only, every value in range
 before the one narrow read-only copy, and the dtype rule that copy follows;
 plus the traced memory of sampling and writing a 50,000-row gadget dataset,
-and of streaming 200,000 sampled rows into a CSV."""
+of writing one block of many rows, and of streaming 200,000 sampled rows
+into a CSV."""
 
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from polytreelab.cnf import bundled_formulas
 from polytreelab.distribution import (
+    CSV_WRITE_BLOCK_ROWS,
     Dataset,
     VariableMeta,
     read_dataset_csv,
@@ -17,7 +21,7 @@ from polytreelab.distribution import (
     write_rows_csv,
 )
 from polytreelab.errors import ValidationError
-from polytreelab.gadget import GadgetParams, compile_cnf
+from polytreelab.gadget import CompiledGadget, GadgetParams
 
 
 @pytest.mark.parametrize(
@@ -28,6 +32,14 @@ from polytreelab.gadget import GadgetParams, compile_cnf
 def test_non_integer_rows_are_refused(rows):
     with pytest.raises(ValidationError, match="rows must hold integers"):
         Dataset([VariableMeta("a", 2)], rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [np.array([0, 1]), np.array([[0, 1, 0]])], ids=["one-dimensional", "three-columns"]
+)
+def test_rows_of_another_shape_are_refused(rows):
+    with pytest.raises(ValidationError, match="rows must be a 2-d array with 2 columns"):
+        Dataset([VariableMeta("a", 2), VariableMeta("b", 2)], rows)
 
 
 @pytest.mark.parametrize(
@@ -74,6 +86,8 @@ def test_zero_rows_with_a_sidecar_take_the_sidecar_dtype(tmp_path):
     dataset = read_dataset_csv(str(path), {"A": 2, "B": 300})
     assert dataset.rows.shape == (0, 2)
     assert dataset.rows.dtype == np.uint16
+    write_dataset_csv(dataset, str(tmp_path / "back.csv"))
+    assert (tmp_path / "back.csv").read_text() == "A,B\n"
 
 
 def test_a_digit_grid_reads_as_uint8(tmp_path):
@@ -89,7 +103,7 @@ def test_sampling_and_writing_six_variable_stay_bounded(tmp_path):
     # 50,000 rows of 35 nodes: int64 columns, their stack and the int64
     # copy traced about 45 MB, and the one-join writer about 41 MB.
     formula = dict(bundled_formulas())["six_variable"]
-    gadget, _ = compile_cnf(formula, GadgetParams(include_inedge_blockers=True))
+    gadget = CompiledGadget(formula, GadgetParams(include_inedge_blockers=True))
     bound = 16 * 2**20
     tracemalloc.start()
     try:
@@ -105,11 +119,32 @@ def test_sampling_and_writing_six_variable_stay_bounded(tmp_path):
     assert write_peak < bound
 
 
+def test_one_large_block_is_written_in_bounded_joins(tmp_path):
+    # The writer cuts a block it is handed into joins of CSV_WRITE_BLOCK_ROWS
+    # rows; one join of all these rows traced about 6.9 MB.
+    variables = [VariableMeta(f"v{j}", 16) for j in range(35)]
+    block = np.random.default_rng(5).integers(0, 16, (3 * CSV_WRITE_BLOCK_ROWS + 1, 35))
+    block = block.astype(np.uint8)
+    path = tmp_path / "one.csv"
+    tracemalloc.start()
+    try:
+        write_rows_csv(variables, [block], str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow([m.name for m in variables])
+    writer.writerows(block.tolist())
+    assert path.read_text(encoding="utf-8") == reference.getvalue()
+    assert peak < 4 * 2**20
+
+
 def test_streaming_gen_cnf_rows_does_not_grow_with_the_row_count(tmp_path):
     # The `gen cnf` path: sampler blocks straight into the writer, so at
     # 200,000 rows of 35 nodes it holds one 4,096-row block at a time.
     formula = dict(bundled_formulas())["six_variable"]
-    gadget, _ = compile_cnf(formula, GadgetParams(include_inedge_blockers=True))
+    gadget = CompiledGadget(formula, GadgetParams(include_inedge_blockers=True))
     tracemalloc.start()
     try:
         blocks = gadget.sample_blocks(200_000, seed=9)

@@ -63,6 +63,10 @@ class TestDistributionValidation:
         with pytest.raises(ValidationError, match="finite"):
             Distribution(metas, np.array([bad, 0.5, 0.25, 0.25]))
 
+    def test_rejects_no_variables(self):
+        with pytest.raises(ValidationError, match="at least one variable"):
+            Distribution([], np.array([1.0]))
+
     def test_rejects_bool_arity(self):
         with pytest.raises(ValidationError):
             VariableMeta("x", True)
@@ -126,6 +130,15 @@ class TestEntropy:
             dist = random_distribution([3, 2, 2], seed=100 + seed)
             assert conditional_entropy(dist, 0, [1, 2]) <= entropy(dist, [0]) + 1e-12
 
+    @pytest.mark.parametrize(
+        "variables, fragment",
+        [([0, 0], "must be distinct"), ([2], "out of range"), ([-1], "out of range")],
+    )
+    def test_rejects_repeated_or_out_of_range_indices(self, variables, fragment):
+        dist = random_distribution([2, 2], seed=2)
+        with pytest.raises(ValidationError, match=fragment):
+            entropy(dist, variables)
+
     def test_conditional_rejects_overlap(self):
         dist = random_distribution([2, 2], seed=2)
         with pytest.raises(ValidationError):
@@ -150,6 +163,11 @@ class TestMutualInformation:
         dist = Distribution([VariableMeta("X1", 2), VariableMeta("X2", 2)], table)
         assert mutual_information(dist, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_one_variable_twice(self):
+        dist = random_distribution([2, 3], seed=5)
+        with pytest.raises(ValidationError, match="two distinct variables"):
+            mutual_information(dist, 1, 1)
+
     def test_bounded_by_marginal_entropies(self):
         for seed in range(25):
             dist = random_distribution([2, 3], seed=200 + seed)
@@ -163,6 +181,11 @@ class TestMarginal:
         marg = marginal(dist, [2, 0])
         assert marg.names == ("X3", "X1")
         assert marg.arities == (4, 2)
+
+    def test_rejects_no_variables(self):
+        dist = random_distribution([2, 3], seed=6)
+        with pytest.raises(ValidationError, match="at least one variable"):
+            marginal(dist, [])
 
     def test_values_match_manual_sum(self):
         dist = random_distribution([2, 3, 2], seed=4)
@@ -193,6 +216,8 @@ class TestBernoulliSolver:
             bernoulli_bias_for_entropy(0.0)
         with pytest.raises(ValidationError):
             bernoulli_bias_for_entropy(1.5)
+        with pytest.raises(ValidationError, match="Bernoulli bias"):
+            binary_entropy_bits(1.5)
 
     def test_binary_entropy_endpoints(self):
         assert binary_entropy_bits(0.0) == 0.0

@@ -21,7 +21,7 @@ from polytreelab.distribution import (
     mutual_information,
 )
 from polytreelab.errors import NumericsError
-from polytreelab.gadget import CompiledGadget, GadgetParams, compile_cnf
+from polytreelab.gadget import CompiledGadget, GadgetParams
 from polytreelab.structure import Structure, UnionFind, score
 
 
@@ -146,7 +146,7 @@ def test_oracle_survives_pickling_with_its_memo():
 
 def _gadget(name, blockers):
     formula = dict(bundled_formulas())[name]
-    compiled, _ = compile_cnf(formula, GadgetParams(include_inedge_blockers=blockers))
+    compiled = CompiledGadget(formula, GadgetParams(include_inedge_blockers=blockers))
     return compiled
 
 

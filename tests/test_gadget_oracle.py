@@ -19,7 +19,6 @@ from polytreelab.gadget import (
     CompiledGadget,
     GadgetNode,
     GadgetParams,
-    compile_cnf,
     verify_gadget,
 )
 
@@ -151,7 +150,7 @@ def _verify_gadget_masks(gadget):
 
 def _gadget(name, **params):
     formula = dict(bundled_formulas())[name]
-    return compile_cnf(formula, GadgetParams(**params))[0]
+    return CompiledGadget(formula, GadgetParams(**params))
 
 
 BLOCKERS = {"include_inedge_blockers": True}

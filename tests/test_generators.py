@@ -18,7 +18,6 @@ from polytreelab.generators import (
     random_joint_distribution,
     random_polytree_instance,
     xor_tree_family,
-    xor_tree_generating_score_bits,
 )
 from polytreelab.structure import Structure, is_polytree, max_indegree, score
 
@@ -132,9 +131,7 @@ class TestXorTreeFamily:
         assert dist.n == 3
         assert dist.names == ("n0", "n1", "n2")
         assert generating.encoding() == ((1, 2), (), ())
-        assert score(dist, generating).total_bits == pytest.approx(
-            xor_tree_generating_score_bits(1, 0.3), abs=1e-9
-        )
+        assert score(dist, generating).total_bits == pytest.approx(2 * 0.3, abs=1e-9)
 
     def test_generating_score_across_depths(self):
         for depth in (1, 2, 3):
@@ -183,8 +180,6 @@ class TestXorTreeFamily:
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
             xor_tree_family(0, 0.3)
-        with pytest.raises(ValidationError):
-            xor_tree_generating_score_bits(0, 0.3)
 
     def test_eps_validation(self):
         for eps in (0.0, -0.1, 1.5):

@@ -8,7 +8,7 @@ from polytreelab.branching import learn_optimal_branching
 from polytreelab.cnf import bundled_formulas
 from polytreelab.distribution import Distribution, VariableMeta
 from polytreelab.errors import CapExceededError, InvariantError, ValidationError
-from polytreelab.gadget import CompiledGadget, compile_cnf
+from polytreelab.gadget import CompiledGadget
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -313,7 +313,7 @@ def _dense_joint(gadget: CompiledGadget) -> Distribution:
 
 def test_a_gadget_is_searched_like_its_dense_joint():
     formula = dict(bundled_formulas())["single_variable"]
-    gadget, _ = compile_cnf(formula)
+    gadget = CompiledGadget(formula)
     dense = _dense_joint(gadget)
     assert len(gadget.coin_biases) == 7 and gadget.n == dense.n == 5
     for search in (exact_optimal_polytree, local_search_polytree):

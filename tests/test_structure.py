@@ -43,6 +43,14 @@ class TestStructureValidation:
         with pytest.raises(ValidationError, match="node 0 lists a parent twice"):
             Structure(3, [(1, 1), (), ()])
 
+    @pytest.mark.parametrize(
+        "n, parents, fragment",
+        [(0, [], "at least one node"), (2, [()], "expected 2 parent sets, got 1")],
+    )
+    def test_rejects_a_malformed_shape(self, n, parents, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            Structure(n, parents)
+
     def test_empty_factory(self):
         empty = Structure.empty(3)
         assert edge_count(empty) == 0
@@ -169,6 +177,11 @@ class TestSerialization:
         assert back.edges() == [(names.index("weird name"), names.index("x-y"))] or [
             (0, 1)
         ]
+
+    @pytest.mark.parametrize("write", [structure_to_json_dict, structure_to_dot])
+    def test_writers_reject_a_name_count_mismatch(self, write):
+        with pytest.raises(ValidationError, match="expected 2 names, got 1"):
+            write(Structure(2, [(), (0,)]), ["A"])
 
     def test_dot_rejects_garbage(self):
         with pytest.raises(FormatError):

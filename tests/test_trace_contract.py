@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from polytreelab.cnf import bundled_formulas
-from polytreelab.gadget import GadgetParams, compile_cnf
+from polytreelab.gadget import CompiledGadget, GadgetParams
 from polytreelab.search import SearchReport
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -44,7 +44,7 @@ def test_gadget_nodes_name_their_coins(blockers):
     # gadget.coins_enumerated counts 2^len of the union of node.coins, so
     # each node's coins are exactly the distinct coins of its bit rows.
     formula = dict(bundled_formulas())["two_variable"]
-    gadget, _ = compile_cnf(formula, GadgetParams(include_inedge_blockers=blockers))
+    gadget = CompiledGadget(formula, GadgetParams(include_inedge_blockers=blockers))
     for name in gadget.node_names:
         node = gadget.node(name)
         assert isinstance(node.coins, tuple) and node.coins
