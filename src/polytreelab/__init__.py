@@ -13,7 +13,6 @@ from .bounds import (
     charge_report,
     entropy_range,
     verify_bounds,
-    verify_subtree_charge_bound,
 )
 from .branching import (
     learn_optimal_branching,
@@ -43,7 +42,6 @@ from .errors import (
     CapExceededError,
     FormatError,
     InvariantError,
-    MultiSinkError,
     NumericsError,
     ToolkitError,
     ValidationError,
@@ -83,7 +81,6 @@ __all__ = [
     "GadgetAudit",
     "GadgetParams",
     "InvariantError",
-    "MultiSinkError",
     "NumericsError",
     "SearchReport",
     "Structure",
@@ -118,6 +115,5 @@ __all__ = [
     "score",
     "verify_bounds",
     "verify_gadget",
-    "verify_subtree_charge_bound",
     "xor_tree_family",
 ]

@@ -12,23 +12,20 @@ subtree residual of its parents minus the largest one; nodes with fewer than
 two parents have charge zero. The capped charge truncates the charge at the
 largest single-node entropy. These quantities measure how much a branching
 (which must drop all but one parent everywhere) can lose relative to the
-polytree, and the audits in this module check the resulting guarantees:
-
-- ``verify_subtree_charge_bound``: for every node ``Z``, the charges inside
-  its subtree total at most ``subtree_residual(Z) * log2(|subtree|) / 2``;
-- ``verify_bounds``: the learned branching score is within the factors
-  ``1 + U/L``, ``1 + log2(n)/2``, ``1 + log2(n0 + n_multi)/2`` and
-  ``7/2 + log2(U/L)/2`` of the optimal polytree score, where ``U``/``L`` are
-  the largest/smallest node entropies and ``n0``/``n_multi`` count sources
-  and nodes with at least two parents in the optimal polytree; plus, per
-  node of every single-sink component, the capped charges inside a subtree
-  total at most ``(5/2 + log2(U/L)/2) * subtree_residual``.
+polytree, and ``verify_bounds`` checks the resulting guarantees: the
+learned branching score is within the factors ``1 + U/L``,
+``1 + log2(n)/2``, ``1 + log2(n0 + n_multi)/2`` and ``7/2 + log2(U/L)/2``
+of the optimal polytree score, where ``U``/``L`` are the largest/smallest
+node entropies and ``n0``/``n_multi`` count sources and nodes with at least
+two parents in the optimal polytree; and, per node ``Z`` of every
+single-sink component, the charges inside its subtree total at most
+``subtree_residual(Z) * log2(|subtree|) / 2`` and the capped charges at
+most ``(5/2 + log2(U/L)/2) * subtree_residual(Z)``.
 
 Ratio-style audits using ``L`` are skipped (reported as not applicable)
 when ``L`` is numerically zero, since the guarantee degenerates. Charge
-audits are defined on components with a unique sink; multi-sink components
-are refused by the strict auditor and skipped (and counted) by
-``verify_bounds``, never silently rewired.
+audits are defined on components with a unique sink; a multi-sink
+component is skipped and counted, never rewired.
 """
 
 from __future__ import annotations
@@ -37,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 from .distribution import Distribution, entropy
-from .errors import MultiSinkError, ValidationError, check_tolerance
+from .errors import ValidationError, check_tolerance
 from .structure import (
-    ScoreBreakdown,
     Structure,
     count_sources_and_multiparents,
     is_branching,
@@ -77,8 +73,6 @@ class NodeCharges:
 class ChargeReport:
     """Charges of every node plus the global quantities the audits need."""
 
-    structure: Structure
-    breakdown: ScoreBreakdown
     per_node: tuple[NodeCharges, ...]
     max_node_entropy_bits: float
     min_node_entropy_bits: float
@@ -109,7 +103,7 @@ def charge_report(dist: Distribution, structure: Structure) -> ChargeReport:
     u_bits, l_bits = entropy_range(dist)
     per_node = []
     for z in range(structure.n):
-        parents = sorted(structure.parents[z])
+        parents = structure.parents[z]
         if len(parents) >= 2:
             parts = [subtree_residual[y] for y in parents]
             charge = node_ordered_total(parts) - max(parts)
@@ -127,8 +121,6 @@ def charge_report(dist: Distribution, structure: Structure) -> ChargeReport:
         )
     sources, multi = count_sources_and_multiparents(structure)
     return ChargeReport(
-        structure=structure,
-        breakdown=breakdown,
         per_node=tuple(per_node),
         max_node_entropy_bits=u_bits,
         min_node_entropy_bits=l_bits,
@@ -166,7 +158,6 @@ def _subtree_rows(
     report: ChargeReport,
     nodes: tuple[int, ...],
     tolerance_bits: float,
-    include_capped: bool,
 ) -> list[SubtreeCheck]:
     rows = []
     u_bits = report.max_node_entropy_bits
@@ -184,7 +175,7 @@ def _subtree_rows(
                 passed=charge_sum <= rhs + tolerance_bits,
             )
         )
-        if include_capped and l_bits > MIN_ENTROPY_EPS:
+        if l_bits > MIN_ENTROPY_EPS:
             capped = [report.per_node[x].capped_charge_bits for x in info.subtree_nodes]
             capped_sum = node_ordered_total(capped)
             factor = 2.5 + 0.5 * math.log2(u_bits / l_bits)
@@ -199,28 +190,6 @@ def _subtree_rows(
                 )
             )
     return rows
-
-
-def verify_subtree_charge_bound(
-    report: ChargeReport,
-    *,
-    tolerance_bits: float = DEFAULT_TOLERANCE_BITS,
-) -> list[SubtreeCheck]:
-    """Audit ``sum of charges in subtree(Z) <= subtree_residual(Z) * log2|subtree| / 2``
-    for every node ``Z``.
-
-    Requires every skeleton component to have exactly one sink; refuses
-    multi-sink components instead of rewiring them.
-    """
-    for nodes, sinks in components_with_sinks(report.structure):
-        if len(sinks) != 1:
-            raise MultiSinkError(
-                f"component {nodes} has sinks {sinks}; the subtree charge audit "
-                "is defined for single-sink components only"
-            )
-    return _subtree_rows(
-        report, tuple(range(report.structure.n)), tolerance_bits, include_capped=False
-    )
 
 
 @dataclass(frozen=True)
@@ -297,7 +266,7 @@ def verify_bounds(
         if len(sinks) != 1:
             skipped += 1
             continue
-        subtree_rows.extend(_subtree_rows(report, nodes, tolerance_bits, include_capped=True))
+        subtree_rows.extend(_subtree_rows(report, nodes, tolerance_bits))
     return BoundsReport(
         branching_score_bits=b_bits,
         optimal_score_bits=opt_bits,

@@ -408,8 +408,8 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
     With ``--format csv`` (or ``--max-depth``) the command sweeps depths,
     learns a branching per depth, and emits (depth, branching_bits,
     polytree_bits, ratio) rows; otherwise it emits one distribution JSON.
-    A row's polytree_bits is the score of the generating polytree, not of
-    the optimal one, so its ratio is a lower bound on branching/optimal.
+    A row's polytree_bits is the score of the generating polytree, which
+    equals the joint entropy and so the optimal score: its ratio is exact.
     A sweep refuses the options it would ignore: ``--depth`` with
     ``--max-depth``, ``--structure-out``, and ``--out`` without
     ``--format csv``.

@@ -87,7 +87,6 @@ class EntropyOracle:
     def __init__(self, set_entropy: Callable[[int], float]):
         self._set_entropy = set_entropy
         self._h: dict[int, float] = {0: 0.0}
-        self._cond: dict[tuple[int, int], float] = {}
 
     def h(self, mask: int) -> float:
         """Entropy of the variables in ``mask``; ``h(0) == 0.0``."""
@@ -98,12 +97,9 @@ class EntropyOracle:
 
     def conditional(self, node: int, parent_mask: int) -> float:
         """H(node | parents), as ``h(parents + node) - h(parents)``."""
-        key = (node, parent_mask)
-        value = self._cond.get(key)
-        if value is None:
-            value = self.h(parent_mask | 1 << node) - self.h(parent_mask)
-            value = self._cond[key] = _round_off(value, "conditional entropy")
-        return value
+        return _round_off(
+            self.h(parent_mask | 1 << node) - self.h(parent_mask), "conditional entropy"
+        )
 
 
 class DenseMarginals:
@@ -533,7 +529,10 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
         else:
             raise FormatError(f"{path}: no rows and no declared arity for {name!r}")
         metas.append(VariableMeta(name, arity))
-    return Dataset(metas, data)
+    try:
+        return Dataset(metas, data)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_rows_csv(

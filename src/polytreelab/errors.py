@@ -46,11 +46,6 @@ class InvariantError(ToolkitError):
     outside its arity); a bug, reported rather than returned."""
 
 
-class MultiSinkError(ToolkitError):
-    """A charge audit was asked to run on a polytree with a multi-sink
-    component; the audit refuses rather than rewiring the structure."""
-
-
 def check_tolerance(tolerance_bits: float) -> None:
     """Refuse an audit slack that is not a finite number of bits: with
     ``inf`` every inequality passes and with ``nan`` every one fails."""

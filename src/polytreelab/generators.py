@@ -5,9 +5,12 @@ The XOR tree family is the adversarial input for branching learners: a
 complete binary tree of binary variables with all edges pointing toward the
 root, leaves drawn independently with a chosen entropy ``eps``, and every
 internal node the exclusive-or of its two parents. The generating polytree
-scores ``(number of leaves) * eps``, but pairwise mutual informations decay
-with distance, so a branching gives up roughly ``eps`` per tree level and
-the best-branching to best-polytree ratio grows with the depth.
+scores ``(number of leaves) * eps``, the joint entropy, which no structure
+scores below, so it is optimal. Pairwise mutual informations decay with
+distance, so a branching gives up roughly ``eps`` per tree level and the
+best-branching to best-polytree ratio grows with the depth; at ``eps = 1``
+every pair is independent and the ratio is ``2n / (n + 1)`` on ``n`` nodes,
+rising toward 2.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ def joint_from_conditionals(
     n = len(metas)
     table = np.ones(shape, dtype=np.float64)
     for i in range(n):
-        parents = sorted(structure.parents[i])
-        axes_vars = parents + [i]
+        axes_vars = (*structure.parents[i], i)
         expect = tuple(metas[v].arity for v in axes_vars)
         cpt = np.asarray(cpts[i], dtype=np.float64)
         if cpt.shape != expect:
@@ -199,7 +201,7 @@ def random_polytree_instance(
     metas = [VariableMeta(f"X{i + 1}", arities[i]) for i in range(n)]
     cpts = []
     for i in range(n):
-        ps = sorted(structure.parents[i])
+        ps = structure.parents[i]
         shape = tuple(arities[p] for p in ps) + (arities[i],)
         rows = int(np.prod(shape[:-1], dtype=np.int64)) if ps else 1
         draws = np.array(

@@ -14,9 +14,9 @@ masks, one ``take`` gathers the terms, and each total adds them left to
 right in node order with ``node_ordered_total``, as ``score`` does; an
 orientation is within the bound exactly when its total is finite, so at
 ``k = 0`` only the empty forest is scored. The result is the minimum of
-(total, parent-set encoding), with ties broken toward the
-lexicographically smallest encoding; that minimum does not depend on visit
-order, so each chunk offers only its rows at the chunk minimum.
+(total, ``Structure.parents``), with ties broken toward the
+lexicographically smallest parent tuples; that minimum does not depend on
+visit order, so each chunk offers only its rows at the chunk minimum.
 
 The search starts from the learned branching's key, read from the same
 table, and prunes by a bound before it scores: ``least[v, nbrs]`` is the
@@ -268,7 +268,7 @@ def exact_optimal_polytree(
         weights[a, p, 1] = 1 << b
     neighbours = weights.sum(axis=2).astype(np.intp)
     # rank[mask] orders parent masks as their lists of parent indices compare,
-    # so the running best (total, *rank[masks]) compares like (total, encoding).
+    # so the running best (total, *rank[masks]) compares like (total, parents).
     order = sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
     rank = np.empty(1 << n, dtype=np.int64)
     rank[order] = np.arange(1 << n)
@@ -296,7 +296,7 @@ def exact_optimal_polytree(
                 low = float(total.min())
                 if low <= best[0]:
                     ranks = rank[cells[:, total == low] - offsets]
-                    # The smallest encoding among the tied rows: lexsort's
+                    # The smallest parent tuples among the tied rows: lexsort's
                     # last key, node 0, is its primary one.
                     row = np.lexsort(ranks[::-1])[0]
                     best = min(best, (low, *ranks[:, row].tolist()))
@@ -343,7 +343,7 @@ def _check_k_polytree(structure: Structure, k: int) -> None:
     after every move, also under ``python -O``.
     """
     if not is_polytree(structure) or max_indegree(structure) > k:
-        parents = [sorted(ps) for ps in structure.parents]
+        parents = [list(ps) for ps in structure.parents]
         raise InvariantError(f"local search left the {k}-polytrees: parents {parents}")
 
 

@@ -50,12 +50,14 @@ class UnionFind:
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Structure:
-    """Immutable parent-set assignment for ``n`` nodes."""
+    """Immutable parent-set assignment for ``n`` nodes. Each node's parents
+    are stored once as an ascending tuple, so every reader takes them in
+    that order and equal structures compare and hash alike."""
 
     n: int
-    parents: tuple[frozenset[int], ...]
+    parents: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, parents: Iterable[Iterable[int]]):
         if n < 1:
@@ -63,7 +65,7 @@ class Structure:
         lists = [[int(p) for p in ps] for ps in parents]
         if len(lists) != n:
             raise ValidationError(f"expected {n} parent sets, got {len(lists)}")
-        sets = tuple(frozenset(ps) for ps in lists)
+        sets = tuple(tuple(sorted(set(ps))) for ps in lists)
         for child, ps in enumerate(sets):
             if len(ps) != len(lists[child]):
                 raise ValidationError(f"node {child} lists a parent twice: {lists[child]}")
@@ -82,21 +84,6 @@ class Structure:
     def edges(self) -> list[tuple[int, int]]:
         """Directed edges as (parent, child), sorted."""
         return sorted((p, c) for c, ps in enumerate(self.parents) for p in ps)
-
-    def encoding(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's parents as a sorted tuple, in node order: a hashable
-        view of the parent sets that reads the same for equal structures."""
-        return tuple(tuple(sorted(ps)) for ps in self.parents)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Structure)
-            and self.n == other.n
-            and self.parents == other.parents
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.parents))
 
 
 def edge_count(structure: Structure) -> int:
@@ -173,7 +160,7 @@ def score(dist: Distribution, structure: Structure) -> ScoreBreakdown:
             f"structure has {structure.n} nodes but distribution has {dist.n} variables"
         )
     per_node = tuple(
-        conditional_entropy(dist, i, sorted(structure.parents[i]))
+        conditional_entropy(dist, i, structure.parents[i])
         for i in range(structure.n)
     )
     return ScoreBreakdown(per_node, float(node_ordered_total(per_node)))
@@ -187,7 +174,7 @@ def score_report_dict(dist: Distribution, structure: Structure) -> dict:
         "per_node": [
             {
                 "name": dist.variables[i].name,
-                "parents": [dist.variables[p].name for p in sorted(structure.parents[i])],
+                "parents": [dist.variables[p].name for p in structure.parents[i]],
                 "h_bits": breakdown.per_node_bits[i],
             }
             for i in range(structure.n)
@@ -206,7 +193,7 @@ def structure_to_json_dict(structure: Structure, names: Sequence[str]) -> dict:
         raise ValidationError(f"expected {structure.n} names, got {len(names)}")
     return {
         "names": list(names),
-        "parents": [sorted(ps) for ps in structure.parents],
+        "parents": [list(ps) for ps in structure.parents],
     }
 
 

@@ -90,7 +90,7 @@ class TestLearnBranching:
         )
         structure, names = read_structure_json(str(json_out))
         assert names == ("X1", "X2", "X3")
-        assert structure.encoding() == ((), (), ())
+        assert structure.parents == ((), (), ())
         dot_out = tmp_path / "learned.dot"
         run_json(
             [
@@ -781,6 +781,16 @@ REFUSALS = {
         {"in.csv": "A,B\n0,1\n", "ar.json": '{"A": 2, "Bee": 5}'},
         ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
         "FormatError", "arity sidecar keys ['Bee'] name no header column",
+    ),
+    "csv-duplicate-column-name": (
+        {"in.csv": "A,A\n0,1\n"},
+        ["learn-branching", "--data", "in.csv"],
+        "FormatError", "in.csv: duplicate variable names: ['A', 'A']",
+    ),
+    "csv-value-above-sidecar-arity": (
+        {"in.csv": "A,B\n2,1\n", "ar.json": '{"A": 2}'},
+        ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
+        "FormatError", "in.csv: column 'A' has values outside 0..1",
     ),
     "arities-with-dist": (
         {"ar.json": '{"X1": 2}'},

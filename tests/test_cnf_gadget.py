@@ -360,7 +360,7 @@ class TestSatisfyingPlan:
         assert plan.satisfied_count == 2
         assert plan.allocation == {0: 1, 1: 1}
         index = {name: i for i, name in enumerate(compiled.node_names)}
-        assert plan.structure.encoding()[index["X1"]] == (
+        assert plan.structure.parents[index["X1"]] == (
             index["C1"], index["C2"]
         )
 
@@ -370,7 +370,7 @@ class TestSatisfyingPlan:
         assert plan.satisfied_count == 1
         assert plan.allocation == {2: 1}
         index = {name: i for i, name in enumerate(compiled.node_names)}
-        assert plan.structure.encoding()[index["X1"]] == tuple(
+        assert plan.structure.parents[index["X1"]] == tuple(
             sorted((index["R1"], index["C3"]))
         )
 
@@ -425,7 +425,7 @@ class TestSatisfyingPlan:
         plan = compiled.plan_for_assignment()
         index = {name: i for i, name in enumerate(compiled.node_names)}
         for i in (1, 2):
-            parents = plan.structure.encoding()[index[f"L{i}"]]
+            parents = plan.structure.parents[index[f"L{i}"]]
             assert parents == tuple(
                 sorted((index[f"X{i}"], index[f"X{i + 1}"]))
             )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polytreelab.branching import learn_optimal_branching
 from polytreelab.distribution import (
     VariableMeta,
     bernoulli_bias_for_entropy,
@@ -101,7 +102,7 @@ class TestParityFixtures:
     def test_parity2_table(self):
         dist, generating = parity_fixture("parity2")
         assert dist.names == ("X1", "X2", "X3")
-        assert generating.encoding() == ((1, 2), (), ())
+        assert generating.parents == ((1, 2), (), ())
         for x1 in range(2):
             for x2 in range(2):
                 for x3 in range(2):
@@ -112,7 +113,7 @@ class TestParityFixtures:
     def test_parity3_table(self):
         dist, generating = parity_fixture("parity3")
         assert dist.n == 4
-        assert generating.encoding() == ((1, 2, 3), (), (), ())
+        assert generating.parents == ((1, 2, 3), (), (), ())
         support = np.argwhere(dist.table > 0)
         assert len(support) == 8
         for x1, x2, x3, x4 in support:
@@ -130,7 +131,7 @@ class TestXorTreeFamily:
         dist, generating = xor_tree_family(1, 0.3)
         assert dist.n == 3
         assert dist.names == ("n0", "n1", "n2")
-        assert generating.encoding() == ((1, 2), (), ())
+        assert generating.parents == ((1, 2), (), ())
         assert score(dist, generating).total_bits == pytest.approx(2 * 0.3, abs=1e-9)
 
     def test_generating_score_across_depths(self):
@@ -140,6 +141,18 @@ class TestXorTreeFamily:
                 assert dist.n == 2 ** (depth + 1) - 1
                 got = score(dist, generating).total_bits
                 assert got == pytest.approx(2**depth * eps, abs=1e-9)
+                # The joint entropy, which no structure scores below: the
+                # generating polytree is optimal.
+                assert got == pytest.approx(entropy(dist), abs=1e-12)
+
+    def test_eps_one_ratio_is_exact(self):
+        # At eps = 1 every pair is independent, so the best branching scores
+        # n bits against the 2**depth = (n + 1) / 2 of the optimal polytree.
+        for depth in (1, 2, 3):
+            dist, generating = xor_tree_family(depth, 1.0)
+            branching = score(dist, learn_optimal_branching(dist)).total_bits
+            ratio = branching / score(dist, generating).total_bits
+            assert ratio == pytest.approx(2 * dist.n / (dist.n + 1), abs=1e-12)
 
     def test_leaves_have_entropy_eps(self):
         eps = 0.3
@@ -155,7 +168,7 @@ class TestXorTreeFamily:
         for i in range(dist.n):
             if generating.parents[i]:
                 residual = conditional_entropy(
-                    dist, i, sorted(generating.parents[i])
+                    dist, i, generating.parents[i]
                 )
                 assert residual == pytest.approx(0.0, abs=1e-9)
 
@@ -243,7 +256,7 @@ class TestRandomPolytreeInstance:
         dist, structure = random_polytree_instance(5, 2, 2, seed=4)
         total = score(dist, structure).total_bits
         direct = sum(
-            conditional_entropy(dist, i, sorted(structure.parents[i]))
+            conditional_entropy(dist, i, structure.parents[i])
             for i in range(5)
         )
         assert total == pytest.approx(direct, abs=1e-9)

@@ -247,7 +247,7 @@ def _reference_local_search(
     def term(v: int, ps: frozenset[int]) -> float:
         return dist.oracle.conditional(v, sum(1 << p for p in ps))
 
-    parents = list(seed.parents)
+    parents = [frozenset(ps) for ps in seed.parents]
     evaluated = 0
     for _ in range(budget):
         best = None

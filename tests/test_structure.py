@@ -63,8 +63,10 @@ class TestStructureValidation:
     def test_equality_and_hash_by_parent_sets(self):
         a = Structure(3, [(1, 2), (), ()])
         b = Structure(3, [(2, 1), (), ()])
-        assert a == b
-        assert hash(a) == hash(b)
+        c = Structure(3, [{2, 1}, (), ()])
+        assert a.parents == b.parents == c.parents == ((1, 2), (), ())
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
 
 
 class TestPolytreePredicates:

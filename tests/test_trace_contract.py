@@ -1,8 +1,11 @@
-"""What the benchmark tracer in ``bench/tracer.py`` reads of the program.
+"""What the benchmark in ``bench/`` reads of the program.
 
 The tracer wraps its ``TARGETS`` by name and reads a few attributes of their
 arguments and results. A target the program no longer defines only makes
 its per-layer metric read zero, so these checks keep the names in step.
+Every command line a workload runs must also keep working: an option it
+passes that the program drops would otherwise show only when the
+benchmark runs.
 """
 
 import importlib
@@ -11,12 +14,15 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from polytreelab.cli import main
 from polytreelab.cnf import bundled_formulas
 from polytreelab.gadget import CompiledGadget, GadgetParams
 from polytreelab.search import SearchReport
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -60,3 +66,30 @@ def test_report_fields_are_search_report_fields():
     for span, attr in TRACER.load_layers()["report_fields"].values():
         assert span in {span for _, _, span in TRACER.TARGETS}
         assert attr in names
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # ``workloads`` imports the benchmark's ``oracle`` as a top-level module.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("workloads")
+
+
+def test_every_benchmark_call_runs(workloads, tmp_path):
+    corpus = str(ROOT / "src" / "polytreelab" / "data" / "cnf")
+    for name in workloads.WORKLOADS:
+        work = tmp_path / name
+        work.mkdir()
+        calls = workloads.build(name, 0, str(work), corpus).calls
+        outputs = []
+        for call in calls:
+            result = CliRunner().invoke(main, call.args)
+            assert result.exit_code == 0, (call.label, result.output)
+            outputs.append(result.output)
+        if name == "exact-audit":
+            # As the harness checks: two workers print the same bytes.
+            args = calls[0].args
+            assert args[-2:] == ["--jobs", "1"]
+            result = CliRunner().invoke(main, args[:-1] + ["2"])
+            assert result.exit_code == 0, result.output
+            assert result.output == outputs[0]
