@@ -405,8 +405,10 @@ def binary_entropy_bits(p: float) -> float:
 def bernoulli_bias_for_entropy(bits: float) -> float:
     """The bias ``p`` in (0, 1/2] with ``binary_entropy_bits(p) == bits``.
 
-    Solved by bisection on the monotone branch; the returned bias matches the
-    requested entropy to full float precision (far inside 1e-10).
+    Solved by bisection on the monotone branch, which goes on past a bracket
+    1e-17 wide until the bias's entropy is within 1e-12 of ``bits``,
+    relative; a target that no float bias meets so (the subnormal 5e-324)
+    is refused.
     """
     if not 0.0 < bits <= 1.0:
         raise ValidationError(f"entropy target must be in (0, 1], got {bits}")
@@ -421,7 +423,13 @@ def bernoulli_bias_for_entropy(bits: float) -> float:
             hi = mid
         if hi - lo <= 1e-17:
             break
-    return 0.5 * (lo + hi)
+    p = 0.5 * (lo + hi)
+    while abs(binary_entropy_bits(p) - bits) > 1e-12 * bits:
+        lo, hi = (p, hi) if binary_entropy_bits(p) < bits else (lo, p)
+        if 0.5 * (lo + hi) in (lo, hi):
+            raise ValidationError(f"no Bernoulli bias has entropy {bits!r} to 1e-12, relative")
+        p = 0.5 * (lo + hi)
+    return p
 
 
 # ---------------------------------------------------------------------------

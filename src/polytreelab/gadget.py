@@ -235,8 +235,8 @@ class CompiledGadget:
 
         Coins are created in the order of their slices of the sampler's
         stream: with ``N`` rows, coin ``i`` takes draws ``i*N .. (i+1)*N - 1``
-        of one PCG64 stream, and ``sample_blocks`` reads a block's rows of
-        that slice from the seeded state advanced to them.
+        of one PCG64 stream, and in ``sample_blocks`` each coin draws from
+        its own generator, started at draw ``i*N``.
         """
         p = self.params.clause_bias
         q = self.params.effective_blocker_bias
@@ -399,41 +399,40 @@ class CompiledGadget:
         The draws are those of one PCG64 stream seeded with ``seed`` that
         takes one uniform vector of ``num_rows`` draws per coin, in creation
         order: coin ``i`` takes draws ``i*num_rows .. (i+1)*num_rows - 1``,
-        and is 1 where its draw is below its bias. A block reads rows
-        ``[lo, hi)`` of coin ``i`` from the seeded state advanced by
-        ``i*num_rows + lo``, so it holds only its own rows and the samples do
-        not depend on the block size. The arguments are checked here, before
-        the first block is asked for.
+        and is 1 where its draw is below its bias. Each coin draws from its
+        own generator, started at draw ``i*num_rows``, and each block takes
+        its next rows from every coin's generator, so the samples do not
+        depend on the block size. The arguments are checked and the
+        generators started here, before the first block is asked for; each
+        node's values are checked against ``0..arity-1`` before they are
+        narrowed into its column.
         """
         if num_rows < 1:
             raise ValidationError(f"num_rows must be >= 1, got {num_rows}")
         if seed < 0:
             raise ValidationError(f"seed must be >= 0, got {seed}")
-        return self._sample_blocks(num_rows, seed)
-
-    def _sample_blocks(self, num_rows: int, seed: int) -> Iterator[np.ndarray]:
-        """The blocks of ``sample_blocks``. Each node's values are checked
-        against ``0..arity-1`` before they are narrowed into its column."""
-        bitgen = np.random.PCG64(seed)
-        start = bitgen.state
-        rng = np.random.Generator(bitgen)
+        coins = [
+            (name, bias, np.random.Generator(np.random.PCG64(seed).advance(i * num_rows)))
+            for i, (name, bias) in enumerate(self.coin_biases.items())
+        ]
         dtype = row_dtype(self.variables)
-        for lo in range(0, num_rows, CSV_WRITE_BLOCK_ROWS):
-            size = min(CSV_WRITE_BLOCK_ROWS, num_rows - lo)
-            bits = {}
-            for i, (name, bias) in enumerate(self.coin_biases.items()):
-                bitgen.state = start
-                bitgen.advance(i * num_rows + lo)
-                bits[name] = rng.random(size) < bias
-            block = np.empty((size, self.n), dtype=dtype)
+
+        def block(size: int) -> np.ndarray:
+            bits = {name: rng.random(size) < bias for name, bias, rng in coins}
+            rows = np.empty((size, self.n), dtype=dtype)
             for j, node in enumerate(self.nodes):
                 values = node.value(bits)
                 if values.min() < 0 or values.max() >= node.arity:
                     raise InvariantError(
                         f"node {node.name} sampled a value outside 0..{node.arity - 1}"
                     )
-                block[:, j] = values
-            yield block
+                rows[:, j] = values
+            return rows
+
+        return (
+            block(min(CSV_WRITE_BLOCK_ROWS, num_rows - lo))
+            for lo in range(0, num_rows, CSV_WRITE_BLOCK_ROWS)
+        )
 
     def sample_dataset(self, num_rows: int, seed: int) -> Dataset:
         """The rows of ``sample_blocks`` as one ``Dataset``."""

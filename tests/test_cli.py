@@ -1,4 +1,8 @@
-"""Command-line surface: reports, artifacts, exit codes, determinism."""
+"""Command-line surface: reports, artifacts, exit codes, determinism.
+
+The one hypothesis test draws its examples with ``derandomize=True``, so
+every run checks the same commands, random joints, bounds and option orders.
+"""
 
 import json
 import math
@@ -752,6 +756,11 @@ REFUSALS = {
         ["verify-gadget", "in.cnf"],
         "ValidationError", "num_vars must be >= 1",
     ),
+    "xor-tree-eps-no-bias-meets": (
+        {},
+        ["gen", "xor-tree", "--eps", "5e-324", "--depth", "1"],
+        "ValidationError", "no Bernoulli bias has entropy 5e-324",
+    ),
     "csv-empty": (
         {"in.csv": ""},
         ["learn-branching", "--data", "in.csv"],
@@ -1015,7 +1024,7 @@ class TestDeterminismAndSchema:
         for args in commands:
             assert run(args).output == run(args).output
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
         command=st.sampled_from(["exact-polytree", "verify-bounds"]),
         arities=st.lists(st.integers(2, 3), min_size=2, max_size=5),

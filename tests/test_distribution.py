@@ -211,6 +211,20 @@ class TestBernoulliSolver:
         assert 0.10 < p < 0.12
         assert abs(binary_entropy_bits(p) - 0.5) < 1e-10
 
+    def test_half_bit_bias_is_pinned_to_the_last_bit(self):
+        # DEFAULT_CLAUSE_BIAS, and so every gadget fixture, is this float.
+        assert bernoulli_bias_for_entropy(0.5).hex() == "0x1.c2ac93f695678p-4"
+
+    @pytest.mark.parametrize("bits", [1e-5, 1e-8, 1e-12, 1e-15, 1e-20, 1e-100, 1e-300])
+    def test_tiny_targets_are_met_to_relative_precision(self, bits):
+        # A bracket 1e-17 wide in p alone misses 1e-20 by a factor of 2e4.
+        p = bernoulli_bias_for_entropy(bits)
+        assert abs(binary_entropy_bits(p) - bits) <= 1e-12 * bits
+
+    def test_a_target_no_float_bias_meets_is_refused(self):
+        with pytest.raises(ValidationError, match="no Bernoulli bias has entropy 5e-324"):
+            bernoulli_bias_for_entropy(5e-324)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             bernoulli_bias_for_entropy(0.0)

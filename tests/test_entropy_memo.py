@@ -1,5 +1,7 @@
 """Per-distribution entropy memo and dense marginals: values bit for bit
-equal to numpy's ``table.sum(axis=dropped)``, fewer reductions."""
+equal to numpy's ``table.sum(axis=dropped)``, fewer reductions. Hypothesis
+draws the sparse tables with ``derandomize=True``, so every run checks the
+same ones."""
 
 import itertools
 import math
@@ -84,7 +86,7 @@ def sparse_tables(draw, max_axes=10, max_states=2048):
     return table / table.sum()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(sparse_tables())
 def test_marginals_match_numpy_sum_bit_for_bit_on_every_mask(table):
     dist = Distribution([VariableMeta(f"X{i}", a) for i, a in enumerate(table.shape)], table)

@@ -1,4 +1,8 @@
-"""The one memoised entropy oracle, its round-off rule, and the union-find."""
+"""The one memoised entropy oracle, its round-off rule, and the union-find.
+
+Hypothesis draws the joints, query orders and union sequences with
+``derandomize=True``, so every run checks the same examples.
+"""
 
 import itertools
 import math
@@ -48,7 +52,7 @@ def _members(mask, n):
     return [i for i in range(n) if mask >> i & 1]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(joints(), st.randoms(use_true_random=False))
 def test_oracle_conditional_equals_conditional_entropy_bit_for_bit(table, rnd):
     # Two joints over the same table, queried in different orders, so one
@@ -65,7 +69,7 @@ def test_oracle_conditional_equals_conditional_entropy_bit_for_bit(table, rnd):
         assert conditional_entropy(right, v, given_nodes) == by_oracle[(v, m)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(joints(), st.randoms(use_true_random=False))
 def test_score_is_the_sum_of_the_oracle_conditionals(table, rnd):
     dist = _dist(table)
@@ -77,7 +81,7 @@ def test_score_is_the_sum_of_the_oracle_conditionals(table, rnd):
     assert breakdown.total_bits == float(sum(terms))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 12).flatmap(
     lambda n: st.tuples(
         st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)

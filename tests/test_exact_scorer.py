@@ -1,6 +1,7 @@
 """The pruned level-vectorised exact search against the scalar Gray-code
 walk, kept here as the reference, plus its closed-form orientation count,
-oracle queries and peak memory."""
+oracle queries and peak memory. Hypothesis draws the random and tie-heavy
+joints with ``derandomize=True``, so every run checks the same ones."""
 
 import tracemalloc
 from itertools import combinations, product
@@ -224,7 +225,7 @@ def _weighted(arities, weights) -> Distribution:
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(random_joints, tie_heavy_joints), st.sampled_from(KS))
 def test_pruned_search_equals_the_scalar_walk(dist, k):
     report = exact_optimal_polytree(dist, k)

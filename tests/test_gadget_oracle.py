@@ -220,6 +220,18 @@ def test_sampled_columns_follow_the_construction(name, params):
             )
 
 
+@pytest.mark.parametrize("params", [{}, BLOCKERS], ids=["plain", "blockers"])
+def test_samples_do_not_depend_on_the_block_size(monkeypatch, params):
+    gadget = _gadget("two_variable", **params)
+    row_counts = (1, 7, 8, 200)
+    default = {rows: gadget.sample_dataset(rows, 11).rows for rows in row_counts}
+    monkeypatch.setattr("polytreelab.gadget.CSV_WRITE_BLOCK_ROWS", 7)
+    for rows in row_counts:
+        sizes = [len(block) for block in gadget.sample_blocks(rows, 11)]
+        assert sizes == [7] * (rows // 7) + [rows % 7] * (rows % 7 > 0)
+        np.testing.assert_array_equal(gadget.sample_dataset(rows, 11).rows, default[rows])
+
+
 def test_a_sampled_value_outside_its_arity_is_an_invariant_error(monkeypatch):
     gadget = _gadget("two_variable")
     value = GadgetNode.value

@@ -1,10 +1,12 @@
-"""Synthetic instance builders: parity tables, XOR trees, seeded models."""
+"""Synthetic instance builders: parity tables, XOR trees, seeded models; and
+the simplex-code family, built here, at the same 2n/(n+1) ratio as the XOR tree."""
 
 import numpy as np
 import pytest
 
 from polytreelab.branching import learn_optimal_branching
 from polytreelab.distribution import (
+    Distribution,
     VariableMeta,
     bernoulli_bias_for_entropy,
     conditional_entropy,
@@ -20,6 +22,7 @@ from polytreelab.generators import (
     random_polytree_instance,
     xor_tree_family,
 )
+from polytreelab.search import exact_optimal_polytree
 from polytreelab.structure import Structure, is_polytree, max_indegree, score
 
 
@@ -203,6 +206,47 @@ class TestXorTreeFamily:
         with pytest.raises(CapExceededError) as exc:
             xor_tree_family(4, 0.3)
         assert exc.value.constraint == "state_cap"
+
+
+def simplex_code(k):
+    """The n = 2**k - 1 non-zero GF(2) combinations of k fair bits: variable
+    ``c - 1`` is the parity of the bits set in ``c``, and each of the 2**k
+    states of the bits has mass 2**-k. Any two variables are independent."""
+    n = 2**k - 1
+    table = np.zeros((2,) * n)
+    for x in range(2**k):
+        table[tuple(bin(c & x).count("1") % 2 for c in range(1, n + 1))] = 2.0**-k
+    return Distribution([VariableMeta(f"V{c}", 2) for c in range(1, n + 1)], table)
+
+
+class TestSimplexCodeFamily:
+    """The other family at the 2n/(n+1) ceiling of the XOR tree at eps 1."""
+
+    @pytest.mark.parametrize("k, optimum", [(2, 2.0), (3, 4.0)])
+    @pytest.mark.parametrize("bound", [2, None])
+    def test_exact_search_finds_half_of_n_plus_one(self, k, optimum, bound):
+        # At k = 3 the optimum, 4 bits, is above H(X) = 3 bits: unlike the
+        # XOR tree, no polytree scores the joint entropy.
+        dist = simplex_code(k)
+        assert entropy(dist) == pytest.approx(k, abs=1e-12)
+        report = exact_optimal_polytree(dist, bound)
+        assert report.branching_score_bits == pytest.approx(dist.n, abs=1e-12)
+        assert report.best_score_bits == pytest.approx(optimum, abs=1e-12)
+        assert report.ratio == pytest.approx(2 * dist.n / (dist.n + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hub_wiring_scores_half_of_n_plus_one(self, k):
+        # Hub h = e_k; every other pair {c, c xor h} wires c xor h <- {c, h}.
+        dist = simplex_code(k)
+        n, hub = dist.n, 2 ** (k - 1)
+        parents = [()] * n
+        for c in range(1, hub):
+            parents[(c | hub) - 1] = (c - 1, hub - 1)
+        wiring = Structure(n, parents)
+        assert is_polytree(wiring) and max_indegree(wiring) == 2
+        assert score(dist, wiring).total_bits == pytest.approx((n + 1) / 2, abs=1e-12)
+        branching = score(dist, learn_optimal_branching(dist)).total_bits
+        assert branching == pytest.approx(n, abs=1e-12)
 
 
 class TestRandomJointDistribution:

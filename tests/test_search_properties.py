@@ -1,4 +1,8 @@
-"""Hypothesis properties of mutual information and of the three learners."""
+"""Hypothesis properties of mutual information and of the three learners.
+
+Examples are drawn with ``derandomize=True``, so every run checks the same
+random and tie-heavy joints.
+"""
 
 from math import prod
 
@@ -45,7 +49,7 @@ tie_heavy_joints = (
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.one_of(joints(2, 6), tie_heavy_joints))
 def test_learned_branching_equals_brute_force(dist):
     learned = learn_optimal_branching(dist)
@@ -56,7 +60,7 @@ def test_learned_branching_equals_brute_force(dist):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(joints(2, 6), st.data())
 def test_mutual_information_is_symmetric_and_non_negative(dist, data):
     a = data.draw(st.integers(0, dist.n - 1))
@@ -66,7 +70,7 @@ def test_mutual_information_is_symmetric_and_non_negative(dist, data):
     assert mi >= 0.0
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(joints(2, 5), st.sampled_from([1, 2]))
 def test_exact_at_most_local_at_most_branching(dist, k):
     exact = exact_optimal_polytree(dist, k)
@@ -75,7 +79,7 @@ def test_exact_at_most_local_at_most_branching(dist, k):
     assert exact.branching_score_bits == local.branching_score_bits
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 @given(joints(2, 6), st.sampled_from([None, 1, 2]))
 def test_exact_search_is_the_same_on_rerun(dist, k):
     assert exact_optimal_polytree(dist, k) == exact_optimal_polytree(dist, k)
