@@ -18,7 +18,6 @@ import gc
 import sys
 
 import click
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import branching as branching_mod
@@ -42,8 +41,10 @@ from .distribution import (
     write_distribution_json,
     write_rows_csv,
 )
-from .errors import ToolkitError, ValidationError, check_tolerance
+from .errors import ToolkitError, ValidationError, check_tolerance, lazy_import
 from .structure import Structure
+
+np = lazy_import("numpy")
 
 
 def _guarded(fn):
@@ -117,7 +118,7 @@ def _reads_dist(fn):
         if dist_path is not None:
             dist = read_distribution_json(dist_path, max_states=max_states)
         else:
-            arities = read_arity_sidecar(arities_path) if arities_path else None
+            arities = read_arity_sidecar(arities_path) if arities_path is not None else None
             dataset = read_dataset_csv(data_path, arities)
             dist = empirical_distribution(dataset, max_states=max_states)
         return fn(dist, **kwargs)
@@ -328,7 +329,7 @@ def exact_polytree_cmd(dist, k, exact_cap, jobs):
 @_structure_out
 def heuristic_polytree_cmd(dist, k, budget, seed_path):
     """Greedy local search over k-polytrees (no optimality guarantee)."""
-    seed_structure = _load_structure_for(dist, seed_path) if seed_path else None
+    seed_structure = _load_structure_for(dist, seed_path) if seed_path is not None else None
     report = search_mod.local_search_polytree(dist, k, seed_structure, budget=budget)
     return _found_structure("heuristic-polytree", k, dist, report)
 
@@ -601,10 +602,14 @@ def run() -> None:
     """Run ``main`` as a process: the entry of the ``polytreelab`` console
     script and of ``python -m polytreelab``.
 
-    The heap built at import (numpy, click, this package) is frozen first,
-    so no later collection, the interpreter's last ones at exit included,
-    traverses or frees it. Calling ``main`` in process, as tests and
-    library callers do, freezes nothing of the caller's heap.
+    The heap is frozen once ``main`` ends, its ``SystemExit`` included, so
+    the interpreter's last collections at exit neither traverse nor free
+    what the process built: click and this package at import, and numpy,
+    which the command itself loads on first use. Calling ``main`` in
+    process, as tests and library callers do, freezes nothing of the
+    caller's heap.
     """
-    gc.freeze()
-    main()
+    try:
+        main()
+    finally:
+        gc.freeze()

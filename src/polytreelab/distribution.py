@@ -45,17 +45,18 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     CapExceededError,
     FormatError,
     NumericsError,
     ValidationError,
+    lazy_import,
     open_text,
     read_json,
     write_json,
 )
+
+np = lazy_import("numpy")
 
 DEFAULT_STATE_CAP = 2**24
 # Parsers and round-trips may produce values this far below zero; clamp them.
@@ -63,7 +64,6 @@ PROB_CLAMP = 1e-12
 PROB_SUM_TOL = 1e-9
 # Entropy sums this far below zero are float round-off; below it, a bug.
 ENTROPY_CLAMP = 1e-12
-_INT64 = np.iinfo(np.int64)
 # Rows per block of a dataset CSV body: bounds the writer's object arrays and
 # the gadget sampler's coin vectors.
 CSV_WRITE_BLOCK_ROWS = 4096
@@ -512,6 +512,7 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
+            int64 = np.iinfo(np.int64)
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
@@ -524,7 +525,7 @@ def read_dataset_csv(path: str, arities: Mapping[str, int] | None = None) -> Dat
                     values = [int(v) for v in row]
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: non-integer value ({exc})") from None
-                if not all(_INT64.min <= v <= _INT64.max for v in values):
+                if not all(int64.min <= v <= int64.max for v in values):
                     raise FormatError(f"{path}:{lineno}: value outside the int64 range")
                 rows.append(values)
             data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(names))

@@ -6,12 +6,18 @@ report it without parsing prose. Every outside file is opened through
 ``open_text``, so one that is not UTF-8 is refused as a ``FormatError``,
 and a leading byte-order mark is skipped. ``read_json`` and ``write_json``
 frame every JSON artifact the package reads or writes.
+
+``lazy_import`` binds numpy in every module that uses it, so importing the
+package or the CLI, and ``--help`` or a usage error, never load numpy; the
+first attribute read on it, inside a command, does.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 from contextlib import contextmanager
 
 
@@ -81,3 +87,22 @@ def write_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def lazy_import(name: str):
+    """Module ``name``, loaded on the first read of one of its attributes.
+
+    An already imported module is returned as it is. Otherwise the module is
+    registered in ``sys.modules`` through ``importlib.util.LazyLoader``, so a
+    later ``import name`` anywhere in the process also loads it at once:
+    every module of this package binds it through this function instead.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module

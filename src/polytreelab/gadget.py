@@ -58,8 +58,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .cnf import CnfFormula, best_assignment, satisfied_clauses
 from .distribution import (
     CSV_WRITE_BLOCK_ROWS,
@@ -72,8 +70,10 @@ from .distribution import (
     binary_entropy_bits,
     row_dtype,
 )
-from .errors import CapExceededError, InvariantError, ValidationError, check_tolerance
+from .errors import CapExceededError, InvariantError, ValidationError, check_tolerance, lazy_import
 from .structure import Structure, is_polytree, max_indegree
+
+np = lazy_import("numpy")
 
 ENTROPY_QUERY_MAX_COINS = 20
 DEFAULT_CLAUSE_BIAS = bernoulli_bias_for_entropy(0.5)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-import numpy as np
-
 from .distribution import (
     DEFAULT_STATE_CAP,
     Distribution,
@@ -27,8 +25,10 @@ from .distribution import (
     _check_state_cap,
     bernoulli_bias_for_entropy,
 )
-from .errors import ValidationError
+from .errors import ValidationError, lazy_import
 from .structure import Structure, is_polytree
+
+np = lazy_import("numpy")
 
 PARITY_FIXTURES = ("parity2", "parity3")
 

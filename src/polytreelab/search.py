@@ -56,12 +56,12 @@ import functools
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .branching import learn_optimal_branching
 from .distribution import Distribution, EntropyOracle
-from .errors import CapExceededError, InvariantError, ValidationError
+from .errors import CapExceededError, InvariantError, ValidationError, lazy_import
 from .structure import Structure, UnionFind, is_polytree, max_indegree, node_ordered_total, score
+
+np = lazy_import("numpy")
 
 EXACT_MAX_NODES = 7
 # Orientations per numpy scoring chunk, and parent forests per growth step;

@@ -801,6 +801,16 @@ REFUSALS = {
         ["learn-branching", "--data", "in.csv", "--arities", "ar.json"],
         "FormatError", "in.csv: column 'A' has values outside 0..1",
     ),
+    "arities-empty-path": (
+        {"in.csv": "A,B\n0,1\n"},
+        ["learn-branching", "--data", "in.csv", "--arities", ""],
+        "FileNotFoundError", "No such file or directory: ''",
+    ),
+    "seed-structure-empty-path": (
+        {},
+        ["heuristic-polytree", "--dist", "{w}/parity2.json", "--k", "1", "--seed-structure", ""],
+        "FileNotFoundError", "No such file or directory: ''",
+    ),
     "arities-with-dist": (
         {"ar.json": '{"X1": 2}'},
         ["learn-branching", "--dist", "{w}/parity2.json", "--arities", "ar.json"],

@@ -1,6 +1,7 @@
 """Exact bytes of the command line: a sha256 ledger of one call per command
-on bundled fixtures, the same bytes from the process entry, and the help of
-the options that commands share."""
+on bundled fixtures and of every help page, the same bytes from the process
+entry, what the process entry loads and freezes, and the help of the options
+that commands share."""
 
 import gc
 import hashlib
@@ -307,18 +308,59 @@ def test_the_process_entry_prints_the_ledger_bytes(tmp_path):
             assert _sha256((tmp_path / path).read_bytes()) == sha, path
 
 
-def test_the_process_entry_freezes_the_start_up_heap(tmp_path):
-    # Runs __main__.py as `python -m polytreelab` does, and reports the
-    # frozen object count from an exit handler.
-    script = (
+def _run_entry_script(args: list[str], at_exit: str) -> str:
+    """A script that runs __main__.py as `python -m polytreelab ARGS` does
+    and prints ``at_exit`` from an exit handler, after the command."""
+    return (
         "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
-        "sys.argv = ['polytreelab', 'gen', 'example', '--name', 'parity2']\n"
+        f"atexit.register(lambda: print({at_exit}, file=sys.stderr))\n"
+        f"sys.argv = ['polytreelab', *{args!r}]\n"
         "runpy.run_module('polytreelab', run_name='__main__', alter_sys=True)\n"
     )
+
+
+def test_the_process_entry_freezes_the_start_up_heap(tmp_path):
+    # The command loads numpy itself, so the freeze must come after it: a
+    # freeze before the command left numpy's heap (7,508 objects here) to
+    # the exit collection.
+    at_exit = "gc.get_freeze_count(), len(gc.get_objects())"
+    script = _run_entry_script(["gen", "example", "--name", "parity2"], at_exit)
     proc = _python(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stderr.split()[-1]) > 0
+    frozen, unfrozen = map(int, proc.stderr.split()[-2:])
+    assert frozen > 0
+    assert unfrozen < 1000
+
+
+# Start-up contract: numpy loads on the first use of it inside a command,
+# so what never reaches a command never pays for it. Each case runs in a
+# fresh interpreter.
+NUMPY_LOADED = "sorted(m for m in sys.modules if m.startswith('numpy.'))"
+
+
+@pytest.mark.parametrize("statement", ["import polytreelab", "import polytreelab.cli"])
+def test_importing_the_package_loads_no_numpy(tmp_path, statement):
+    script = f"import sys\n{statement}\nprint({NUMPY_LOADED})\n"
+    proc = _python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["[]"]
+
+
+@pytest.mark.parametrize(
+    "args, code, numpy_loaded",
+    [
+        (["--help"], 0, False),
+        (["learn-branching", "--no-such-option"], 2, False),
+        (["gen", "example", "--name", "parity2"], 0, True),
+    ],
+)
+def test_only_a_command_loads_numpy(tmp_path, args, code, numpy_loaded):
+    script = _run_entry_script(args, f"'numpy:', len({NUMPY_LOADED})")
+    proc = _python(["-c", script], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    label, count = proc.stderr.split()[-2:]
+    assert label == b"numpy:"
+    assert (int(count) > 0) == numpy_loaded
 
 
 def test_an_in_process_call_freezes_nothing():
@@ -333,6 +375,40 @@ def test_the_ledger_calls_every_command():
     commands = {(name,) for name in main.commands if name != "gen"}
     commands |= {("gen", name) for name in main.commands["gen"].commands}
     assert called == commands
+
+
+# sha256 of each help page, as `CliRunner` prints it (program name "main").
+HELP_LEDGER = {
+    (): "3cccfb2e35dcb2cfc00e19cce1bf59acaa748f7bc27af13a0fee54d249d19549",
+    ("learn-branching",): "da44aa08c89e899837617cef4cbcf3a5eb85f0314a26249ec133e28d790906a1",
+    ("exact-polytree",): "b4185c272af2aae9ffefb468d1e2cb0ed44239de89722c6e0a7b75ad852b6578",
+    ("heuristic-polytree",): "2b68971d4f217c1c009f984fed26a168e330f1729a74743c45fb0e78330d6978",
+    ("score",): "a3a273e1687fd18af0252bf88ad349ef17a78e731489529fd87a862bcbfd5a49",
+    ("ratio",): "463ca3f60a2d5dc789212b584838ef4a04160a5b32833fd1957e80f006f66ae8",
+    ("verify-bounds",): "22561b3ab81e31f329e8c7ce586f34e45ef403bda35371769204f897e3abf498",
+    ("verify-gadget",): "2389e7bcbefcca63d41d3ad695d49434f39d4f51111af96740d238f2e28a18e3",
+    ("gen",): "d38d17c3f46c1f6ffeb2459bd0b76f4a8be9bda85f166ba61fde6c8b2aef642b",
+    ("gen", "xor-tree"): "1470a248905ac66d7da6a541ac310ccb3ef120803eb618f11e4b0de55d650d83",
+    ("gen", "example"): "1fadec282b2ee8018f93054d7eea6090cfc0703dbe9d8eacbf2de86268139295",
+    ("gen", "random"): "728451162417b0a52846b954efca3e9f68a7e5b99a99b1d4f4e9bd739b49db88",
+    ("gen", "cnf"): "975d60668cb7c7ad4e251fb7748384b6dcf1adbf44904ad3905881fb97f2ba76",
+}
+# `python -m polytreelab --help`: the same page under the program's own name.
+PROCESS_HELP_SHA256 = "faa8258e475f5979a5545d72e554131a696e7dd198191c2022e86784f9960290"
+
+
+def test_every_help_page_prints_its_ledger_bytes():
+    pages = {()} | {(name,) for name in main.commands}
+    pages |= {("gen", name) for name in main.commands["gen"].commands}
+    assert pages == set(HELP_LEDGER)
+    for path, sha in HELP_LEDGER.items():
+        result = CliRunner().invoke(main, [*path, "--help"])
+        assert (result.exit_code, _sha256(result.output.encode())) == (0, sha), path
+
+
+def test_the_process_entry_prints_the_help_bytes(tmp_path):
+    proc = _python(["-m", "polytreelab", "--help"], tmp_path)
+    assert (proc.returncode, _sha256(proc.stdout)) == (0, PROCESS_HELP_SHA256)
 
 
 # Options that several commands share through one option group.

@@ -5,11 +5,14 @@ arguments and results. A target the program no longer defines only makes
 its per-layer metric read zero, so these checks keep the names in step.
 Every command line a workload runs must also keep working: an option it
 passes that the program drops would otherwise show only when the
-benchmark runs.
+benchmark runs. And every module the tracer wraps must load with the CLI.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -58,6 +61,24 @@ def test_gadget_nodes_name_their_coins(blockers):
         assert set(node.coins) == {coin for row in node.rows for coin in row}
         assert all(coin in gadget.coin_biases for coin in node.coins)
         assert node.arity == 2 ** len(node.rows)
+
+
+def test_importing_the_cli_loads_every_target_module(tmp_path):
+    # The tracer wraps its targets only in the modules that sys.modules holds
+    # right after it imports polytreelab.cli; a target module loaded later,
+    # inside the command, would lose its spans. So every module it names
+    # must load with the CLI, in a fresh interpreter.
+    modules = sorted({module for module, _, _ in TRACER.TARGETS})
+    script = (
+        "import sys\nimport polytreelab.cli\n"
+        f"print([m for m in {modules!r} if m not in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"[]"]
 
 
 def test_report_fields_are_search_report_fields():
