@@ -1,10 +1,12 @@
 """Command-line harness.
 
 Every subcommand is a pure function of its inputs, seed, and flags: running
-it twice produces byte-identical reports. The JSON report always goes to
-stdout; ``--out`` adds a file artifact (structure JSON/DOT, distribution
-JSON, dataset CSV, or sweep CSV depending on the command). Domain failures
-print a structured error report and exit 1; usage errors exit 2.
+it twice produces byte-identical reports. ``--out`` adds a file artifact
+(structure JSON/DOT, distribution JSON, dataset CSV, or sweep CSV depending
+on the command), which the command writes itself. Every command returns its
+JSON report, and ``main`` writes it to stdout and sets the exit code: domain
+and I/O failures become a structured error report and exit 1, as does a
+failed audit; usage errors exit 2.
 
 Each option group is declared once (``_reads_dist``, ``_exact_options``,
 ``_structure_out``, ``_reads_gadget``), and each report fragment has one
@@ -45,20 +47,6 @@ from .errors import ToolkitError, ValidationError, check_tolerance, lazy_import
 from .structure import Structure
 
 np = lazy_import("numpy")
-
-
-def _guarded(fn):
-    """Convert domain and I/O failures into structured error reports."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ToolkitError, OSError) as exc:
-            reports.write_report(reports.error_report(exc))
-            sys.exit(1)
-
-    return wrapper
 
 
 def _options(*decorators):
@@ -146,7 +134,7 @@ def _load_structure_for(dist: Distribution, path: str) -> Structure:
 def _structure_out(fn):
     """Declare the structure artifact options of a command that reads a
     joint. ``fn`` returns its report and the structure it found; this writes
-    the artifact under ``--out``, then the report."""
+    the artifact under ``--out`` and returns the report."""
 
     @_options(
         click.option("--out", type=click.Path(), default=None, help="Structure artifact path."),
@@ -162,7 +150,7 @@ def _structure_out(fn):
                 structure_mod.write_structure_dot(structure, list(dist.names), out)
             else:
                 structure_mod.write_structure_json(structure, list(dist.names), out)
-        reports.write_report(doc)
+        return doc
 
     return wrapper
 
@@ -258,31 +246,47 @@ def _found_structure(
     return doc, report.best
 
 
-def _write_gen_report(
+def _gen_report(
     dist: Distribution, generating: Structure, structure_out: str | None, **fields
-) -> None:
-    """Write ``--structure-out``, then the generator report: ``fields`` plus
-    the generating structure and its score."""
+) -> dict:
+    """Write ``--structure-out`` and return the generator report: ``fields``
+    plus the generating structure and its score."""
     names = list(dist.names)
     if structure_out is not None:
         structure_mod.write_structure_json(generating, names, structure_out)
-    reports.write_report(
-        {
-            "kind": "gen",
-            **fields,
-            "generating_score_bits": structure_mod.score(dist, generating).total_bits,
-            "structure": structure_mod.structure_to_json_dict(generating, names),
-        }
-    )
+    return {
+        "kind": "gen",
+        **fields,
+        "generating_score_bits": structure_mod.score(dist, generating).total_bits,
+        "structure": structure_mod.structure_to_json_dict(generating, names),
+    }
 
 
-@click.group()
+class _Reports(click.Group):
+    """The root group. Every command returns its report; ``invoke`` writes
+    it to stdout and sets the exit code. A ``ToolkitError`` or ``OSError``
+    raised by the command, or while encoding its report, is written as an
+    error report instead and exits 1, as does a report whose ``passed`` is
+    false. Usage errors are click's, exit 2."""
+
+    def invoke(self, ctx: click.Context) -> dict:
+        try:
+            doc = super().invoke(ctx)
+            reports.write_report(doc)
+        except (ToolkitError, OSError) as exc:
+            reports.write_report(reports.error_report(exc))
+            sys.exit(1)
+        if doc.get("passed") is False:
+            sys.exit(1)
+        return doc
+
+
+@click.group(cls=_Reports)
 def main() -> None:
     """Learn and audit branchings and polytrees over discrete variables."""
 
 
 @main.command("learn-branching")
-@_guarded
 @_reads_dist
 @_structure_out
 def learn_branching_cmd(dist):
@@ -299,7 +303,6 @@ def learn_branching_cmd(dist):
 
 
 @main.command("exact-polytree")
-@_guarded
 @_reads_dist
 @_exact_options
 @_structure_out
@@ -310,7 +313,6 @@ def exact_polytree_cmd(dist, k, exact_cap, jobs):
 
 
 @main.command("heuristic-polytree")
-@_guarded
 @_reads_dist
 @click.option("--k", type=int, required=True, help="Parent bound (>= 1).")
 @click.option(
@@ -335,7 +337,6 @@ def heuristic_polytree_cmd(dist, k, budget, seed_path):
 
 
 @main.command("score")
-@_guarded
 @_reads_dist
 @click.option(
     "--structure",
@@ -347,21 +348,19 @@ def heuristic_polytree_cmd(dist, k, budget, seed_path):
 def score_cmd(dist, structure_path):
     """Score a given structure against the input joint."""
     structure = _load_structure_for(dist, structure_path)
-    reports.write_report({"kind": "score", **_structure_and_score(dist, structure)})
+    return {"kind": "score", **_structure_and_score(dist, structure)}
 
 
 @main.command("ratio")
-@_guarded
 @_reads_dist
 @_exact_options
 def ratio_cmd(dist, k, exact_cap, jobs):
     """Best-branching score over best-polytree score."""
     report = _exact_search(dist, k, exact_cap, jobs)
-    reports.write_report(_search_fields("ratio", k, report))
+    return _search_fields("ratio", k, report)
 
 
 @main.command("verify-bounds")
-@_guarded
 @_reads_dist
 @_exact_options
 @click.option(
@@ -380,10 +379,7 @@ def verify_bounds_cmd(dist, k, exact_cap, jobs, tolerance):
     report = bounds_mod.verify_bounds(
         dist, search.best, search.branching, tolerance_bits=tolerance
     )
-    doc = reports.bounds_report_dict(report, list(dist.names))
-    reports.write_report(doc)
-    if not report.all_passed:
-        sys.exit(1)
+    return reports.bounds_report_dict(report, list(dist.names))
 
 
 @main.group()
@@ -392,7 +388,6 @@ def gen() -> None:
 
 
 @gen.command("xor-tree")
-@_guarded
 @click.option("--depth", type=int, default=None, help="Tree depth (>= 1).")
 @click.option("--eps", type=float, required=True, help="Leaf entropy in bits.")
 @click.option(
@@ -447,16 +442,13 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
         if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(reports.growth_curve_csv(rows))
-        reports.write_report(
-            {"kind": "gen", "family": "xor-tree", "eps": eps, "sweep": rows}
-        )
-        return
+        return {"kind": "gen", "family": "xor-tree", "eps": eps, "sweep": rows}
     if depth is None:
         raise ValidationError("provide --depth (or --max-depth for a sweep)")
     dist, generating = gen_mod.xor_tree_family(depth, eps, max_states=max_states)
     if out is not None:
         write_distribution_json(dist, out)
-    _write_gen_report(
+    return _gen_report(
         dist,
         generating,
         structure_out,
@@ -469,7 +461,6 @@ def gen_xor_tree_cmd(depth, eps, max_depth, max_states, out, structure_out, fmt)
 
 
 @gen.command("example")
-@_guarded
 @click.option(
     "--name",
     type=click.Choice(list(gen_mod.PARITY_FIXTURES)),
@@ -491,7 +482,7 @@ def gen_example_cmd(name, out, structure_out, fmt):
             write_dataset_csv(Dataset(dist.variables, rows), out)
         else:
             write_distribution_json(dist, out)
-    _write_gen_report(
+    return _gen_report(
         dist,
         generating,
         structure_out,
@@ -502,7 +493,6 @@ def gen_example_cmd(name, out, structure_out, fmt):
 
 
 @gen.command("random")
-@_guarded
 @click.option("--n", type=int, required=True, help="Number of variables.")
 @click.option("--k", type=int, default=2, help="Generating indegree bound.")
 @click.option("--arity", type=int, default=2)
@@ -518,7 +508,7 @@ def gen_random_cmd(n, k, arity, seed, edge_prob, max_states, out, structure_out)
     )
     if out is not None:
         write_distribution_json(dist, out)
-    _write_gen_report(
+    return _gen_report(
         dist,
         generating,
         structure_out,
@@ -532,7 +522,6 @@ def gen_random_cmd(n, k, arity, seed, edge_prob, max_states, out, structure_out)
 
 
 @gen.command("cnf")
-@_guarded
 @click.option("--samples", type=int, default=0, help="Rows to sample (0: none).")
 @click.option("--seed", type=int, default=0)
 @_reads_gadget
@@ -557,20 +546,17 @@ def gen_cnf_cmd(compiled, samples, seed, out, arities_out):
         write_rows_csv(compiled.variables, compiled.sample_blocks(samples, seed), out)
     if arities_out is not None:
         write_arity_sidecar(compiled.variables, arities_out)
-    doc.update(
-        {
-            "kind": "gen",
-            "family": "cnf",
-            "samples": samples,
-            "seed": seed,
-            "nodes": [{"name": m.name, "arity": m.arity} for m in compiled.variables],
-        }
-    )
-    reports.write_report(doc)
+    return {
+        **doc,
+        "kind": "gen",
+        "family": "cnf",
+        "samples": samples,
+        "seed": seed,
+        "nodes": [{"name": m.name, "arity": m.arity} for m in compiled.variables],
+    }
 
 
 @main.command("verify-gadget")
-@_guarded
 @_reads_gadget
 @click.option(
     "--assignment",
@@ -593,9 +579,7 @@ def verify_gadget_cmd(compiled, assignment, tolerance):
                 f"--assignment must be comma-separated integers, got {assignment!r}"
             ) from None
     audit = gadget_mod.verify_gadget(compiled, parsed, tolerance_bits=tolerance)
-    reports.write_report(reports.gadget_audit_dict(audit))
-    if not audit.ok:
-        sys.exit(1)
+    return reports.gadget_audit_dict(audit)
 
 
 def run() -> None:

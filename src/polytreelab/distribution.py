@@ -394,12 +394,14 @@ def mutual_information(dist: Distribution, a: int, b: int) -> float:
 
 
 def binary_entropy_bits(p: float) -> float:
-    """Entropy in bits of a Bernoulli(p) variable."""
+    """Entropy in bits of a Bernoulli(p) variable. The ``1 - p`` term goes
+    through ``log1p``, so it keeps its bits at biases where ``1 - p`` rounds
+    to 1."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"Bernoulli bias must be in [0, 1], got {p}")
     if p in (0.0, 1.0):
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return -p * math.log2(p) - (1.0 - p) * math.log1p(-p) / math.log(2)
 
 
 def bernoulli_bias_for_entropy(bits: float) -> float:

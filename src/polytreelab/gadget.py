@@ -1,8 +1,8 @@
 """CNF-to-distribution compiler: the three-layer hardness construction.
 
 Given a restricted CNF (see :mod:`polytreelab.cnf`), build a layered
-network of discrete variables whose optimal polytree score encodes the
-maximum number of simultaneously satisfiable clauses:
+network of discrete variables whose satisfying plans score lower the more
+clauses they satisfy:
 
 * layer 1: one binary node per clause, an independent coin of bias ``p``
   chosen so its entropy is exactly half a bit;
@@ -23,9 +23,15 @@ Conditioning a principal node on subsets of its neighbours lowers its
 entropy by exactly ``delta = 1 - H(2p(1-p))`` for ``{R}``, half a bit for
 ``{R, C}``, ``1 - delta`` for the same-polarity clause pair, and
 ``1/2 - delta`` for mixed clause pairs. Summed over an assignment
-satisfying ``m'`` clauses, the second layer's score drops by
-``m' (1/2 - delta) + n delta``, which is what makes optimal polytree
-recovery as hard as maximising satisfied clauses.
+satisfying ``m'`` clauses, the second layer's score under that
+assignment's satisfying plan drops by ``m' (1/2 - delta) + n delta``,
+which ``verify_gadget`` audits. The reduction needs the plan to be the
+optimal 2-polytree, so that the optimal score encodes MAXSAT. Without
+blockers it is not: the optimum beats the plan on every census formula
+searched, and it is not monotone in MAXSAT (two 2-variable, 4-clause
+formulas with MAXSAT 3 and 4 have optima of 9.0 and 9.427 bits; see
+``test_the_optimum_is_not_monotone_in_maxsat`` in
+``tests/test_cnf_gadget.py``).
 
 Optionally each satellite is shielded by two blocker nodes ``A`` and ``B``
 (``k`` i.i.d. coins of bias ``q`` each) and expands to the tuple

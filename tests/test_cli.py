@@ -1023,6 +1023,15 @@ class TestDeterminismAndSchema:
         with pytest.raises(ToolkitError, match="non-finite value inf in report"):
             canonical_json({"ratio": [1.0, float("inf")]})
 
+    def test_a_report_that_cannot_be_encoded_is_an_error_report(self, workdir, monkeypatch):
+        monkeypatch.setattr(
+            polytreelab.cli, "_search_fields", lambda *args: {"kind": "ratio", "ratio": math.inf}
+        )
+        result = run(["ratio", "--dist", str(workdir / "parity3.json")], expect_exit=1)
+        message = "non-finite value inf in report"
+        error = {"kind": "error", "error": {"type": "ToolkitError", "message": message}}
+        assert result.output == canonical_json(error)
+
     def test_reports_are_byte_identical_across_reruns(self, workdir):
         commands = [
             ["learn-branching", "--dist", str(workdir / "parity2.json")],

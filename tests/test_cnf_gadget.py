@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from census import restricted_formulas
 from polytreelab import cnf
 from polytreelab.cnf import (
     CnfFormula,
@@ -30,7 +31,8 @@ from polytreelab.gadget import (
     GadgetParams,
     verify_gadget,
 )
-from polytreelab.structure import is_polytree, max_indegree
+from polytreelab.search import exact_optimal_polytree
+from polytreelab.structure import is_polytree, max_indegree, score
 
 CORPUS = Path(cnf.__file__).parent / "data" / "cnf"
 P = DEFAULT_CLAUSE_BIAS
@@ -436,6 +438,45 @@ class TestSatisfyingPlan:
             compiled.plan_for_assignment((1,))
         with pytest.raises(ValidationError):
             compiled.plan_for_assignment((1, 2))
+
+
+def _maxsat_plan_and_optimum(formula: CnfFormula) -> tuple[int, float, float]:
+    """MAXSAT, the satisfying plan's score, and the optimal 2-polytree score
+    of the gadget without blockers."""
+    compiled = CompiledGadget(formula)
+    plan = score(compiled, compiled.plan_for_assignment().structure).total_bits
+    optimum = exact_optimal_polytree(compiled, 2, max_nodes=compiled.n).best_score_bits
+    return best_assignment(formula)[1], plan, optimum
+
+
+class TestOptimumCensus:
+    """What the true optimum of the gadget does, without blockers: it beats
+    the satisfying plan on every census formula in reach, and it is not
+    monotone in MAXSAT. These pin the gap; they do not say it is right."""
+
+    def test_every_two_variable_three_clause_formula_beats_its_plan(self):
+        formulas = restricted_formulas(2, 3)
+        assert len(formulas) == 8
+        rows = {formula.clauses: _maxsat_plan_and_optimum(formula) for formula in formulas}
+        for clauses, (maxsat, plan, optimum) in rows.items():
+            assert maxsat == 3
+            assert plan == pytest.approx(9.713537, abs=1e-6)
+            # A repeated clause lets the optimum beat the plan by one bit.
+            want = 8.713537 if len(set(clauses)) < 3 else 9.339142
+            assert optimum == pytest.approx(want, abs=1e-6), clauses
+
+    def test_the_optimum_is_not_monotone_in_maxsat(self):
+        census = {formula.clauses for formula in restricted_formulas(2, 4)}
+        three = CnfFormula(2, [[1], [2], [-1, -2], [-1, -2]])
+        four = CnfFormula(2, [[1], [2], [1, -2], [-1, 2]])
+        assert {three.clauses, four.clauses} <= census
+        (sat3, plan3, opt3), (sat4, plan4, opt4) = map(_maxsat_plan_and_optimum, (three, four))
+        assert (sat3, sat4) == (3, 4)
+        # The plans separate the formulas: more satisfied clauses, lower score.
+        assert (plan3, plan4) == (pytest.approx(10.213537, abs=1e-6), pytest.approx(10.0, abs=1e-9))
+        # The optima invert them.
+        assert (opt3, opt4) == (pytest.approx(9.0, abs=1e-9), pytest.approx(9.427073, abs=1e-6))
+        assert opt3 < opt4 < plan4 < plan3
 
 
 class TestVerifyGadget:

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.optimize import brentq
 
+from polytreelab.cli import main
 from polytreelab.distribution import (
     DEFAULT_STATE_CAP,
     Dataset,
@@ -194,6 +196,12 @@ class TestMarginal:
         np.testing.assert_allclose(marg.table, manual, atol=1e-12)
 
 
+def binary_entropy_reference(p: float) -> float:
+    """H(p) in bits as the exact sum of both terms, the ``1 - p`` one through
+    ``log1p``: neither term loses bits at tiny ``p``."""
+    return math.fsum([-p * math.log2(p), -(1 - p) * math.log1p(-p) / math.log(2)])
+
+
 class TestBernoulliSolver:
     def test_matches_independent_root_finder(self):
         for bits in [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0]:
@@ -215,11 +223,26 @@ class TestBernoulliSolver:
         # DEFAULT_CLAUSE_BIAS, and so every gadget fixture, is this float.
         assert bernoulli_bias_for_entropy(0.5).hex() == "0x1.c2ac93f695678p-4"
 
-    @pytest.mark.parametrize("bits", [1e-5, 1e-8, 1e-12, 1e-15, 1e-20, 1e-100, 1e-300])
+    @pytest.mark.parametrize(
+        "bits",
+        [1e-5, 3e-6, 1e-8, 1e-9, 1e-12, 1e-15, 1e-16, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300],
+    )
     def test_tiny_targets_are_met_to_relative_precision(self, bits):
         # A bracket 1e-17 wide in p alone misses 1e-20 by a factor of 2e4.
         p = bernoulli_bias_for_entropy(bits)
         assert abs(binary_entropy_bits(p) - bits) <= 1e-12 * bits
+        # Written as -(1 - p) * log2(1 - p), the second term reads 0 once
+        # 1 - p rounds to 1, and the bias missed 1e-16 by 2.4%; its rounding
+        # above that made the solver refuse 3e-6 and 1e-9.
+        assert abs(binary_entropy_reference(p) - bits) <= 1e-12 * bits
+
+    def test_gen_xor_tree_reports_the_entropy_of_its_source_coin(self):
+        result = CliRunner().invoke(main, ["gen", "xor-tree", "--eps", "1e-20", "--depth", "1"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["eps"] == 1e-20
+        # The report rounds source_bias to 12 significant digits.
+        assert math.isclose(binary_entropy_reference(doc["source_bias"]), 1e-20, rel_tol=1e-10)
 
     def test_a_target_no_float_bias_meets_is_refused(self):
         with pytest.raises(ValidationError, match="no Bernoulli bias has entropy 5e-324"):
