@@ -9,8 +9,8 @@ and I/O failures become a structured error report and exit 1, as does a
 failed audit; usage errors exit 2.
 
 Each option group is declared once (``_reads_dist``, ``_exact_options``,
-``_structure_out``, ``_reads_gadget``), and each report fragment has one
-builder.
+``_structure_out``, ``_reads_gadget``). Every report is built here, and each
+report fragment has one builder; ``reports`` only encodes them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import gc
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -215,9 +216,21 @@ _gen_artifacts = _options(
 
 def _structure_and_score(dist: Distribution, structure: Structure) -> dict:
     """The ``structure`` and ``score`` fields of a report."""
+    names = list(dist.names)
+    breakdown = structure_mod.score(dist, structure)
     return {
-        "structure": structure_mod.structure_to_json_dict(structure, list(dist.names)),
-        "score": structure_mod.score_report_dict(dist, structure),
+        "structure": structure_mod.structure_to_json_dict(structure, names),
+        "score": {
+            "total_bits": breakdown.total_bits,
+            "per_node": [
+                {
+                    "name": names[i],
+                    "parents": [names[p] for p in structure.parents[i]],
+                    "h_bits": bits,
+                }
+                for i, bits in enumerate(breakdown.per_node_bits)
+            ],
+        },
     }
 
 
@@ -379,7 +392,19 @@ def verify_bounds_cmd(dist, k, exact_cap, jobs, tolerance):
     report = bounds_mod.verify_bounds(
         dist, search.best, search.branching, tolerance_bits=tolerance
     )
-    return reports.bounds_report_dict(report, list(dist.names))
+    return {
+        "kind": "verify-bounds",
+        "passed": report.all_passed,
+        "branching_score_bits": report.branching_score_bits,
+        "optimal_score_bits": report.optimal_score_bits,
+        "max_node_entropy_bits": report.charges.max_node_entropy_bits,
+        "min_node_entropy_bits": report.charges.min_node_entropy_bits,
+        "bounds": [asdict(check) for check in report.bounds],
+        "subtree_checks": [
+            {**asdict(row), "node": dist.names[row.node]} for row in report.subtree_rows
+        ],
+        "skipped_multi_sink_components": report.skipped_multi_sink_components,
+    }
 
 
 @main.group()
@@ -540,16 +565,21 @@ def gen_cnf_cmd(compiled, samples, seed, out, arities_out):
         raise ValidationError(f"--samples {samples} needs --out: sampled rows go to a dataset CSV")
     if samples == 0 and out is not None:
         raise ValidationError("--out needs --samples above 0: the dataset CSV holds sampled rows")
-    # The metadata's entropy queries can be refused; they run before any file is written.
-    doc = compiled.metadata()
+    # The layer entropy queries can be refused; they run before any file is written.
+    layers = compiled.layer_entropy_bits()
     if samples > 0:
         write_rows_csv(compiled.variables, compiled.sample_blocks(samples, seed), out)
     if arities_out is not None:
         write_arity_sidecar(compiled.variables, arities_out)
     return {
-        **doc,
         "kind": "gen",
         "family": "cnf",
+        "num_clauses": compiled.formula.num_clauses,
+        "num_variables": compiled.formula.num_vars,
+        "clause_bias": compiled.params.clause_bias,
+        "delta_bits": compiled.params.delta_bits,
+        "include_inedge_blockers": compiled.params.include_inedge_blockers,
+        "layer_entropy_bits": list(layers),
         "samples": samples,
         "seed": seed,
         "nodes": [{"name": m.name, "arity": m.arity} for m in compiled.variables],
@@ -579,7 +609,7 @@ def verify_gadget_cmd(compiled, assignment, tolerance):
                 f"--assignment must be comma-separated integers, got {assignment!r}"
             ) from None
     audit = gadget_mod.verify_gadget(compiled, parsed, tolerance_bits=tolerance)
-    return reports.gadget_audit_dict(audit)
+    return {"kind": "verify-gadget", "passed": audit.ok, **asdict(audit)}
 
 
 def run() -> None:

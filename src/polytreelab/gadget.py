@@ -366,7 +366,7 @@ class CompiledGadget:
             target, given
         )
 
-    # -- analytic targets and metadata -------------------------------------
+    # -- layer totals and analytic targets ---------------------------------
 
     def _layer_totals(
         self, node_bits: Callable[[GadgetNode], float]
@@ -383,17 +383,6 @@ class CompiledGadget:
 
     def analytic_layer_entropy_bits(self) -> tuple[float, float, float]:
         return self._layer_totals(lambda node: node.analytic_bits)
-
-    def metadata(self) -> dict:
-        layers = self.layer_entropy_bits()
-        return {
-            "num_clauses": self.formula.num_clauses,
-            "num_variables": self.formula.num_vars,
-            "clause_bias": self.params.clause_bias,
-            "delta_bits": self.params.delta_bits,
-            "include_inedge_blockers": self.params.include_inedge_blockers,
-            "layer_entropy_bits": [layers[0], layers[1], layers[2]],
-        }
 
     # -- sampling -----------------------------------------------------------
 

@@ -1,6 +1,7 @@
-"""Deterministic machine-readable reports.
+"""The codec of the deterministic machine-readable reports.
 
-Every command-line run emits one JSON document built here. Serialization is
+Every command-line run emits one JSON document: ``cli`` builds it and this
+module encodes it, or the error report that replaces it. Serialization is
 canonical so that identical runs are byte-identical: keys sorted, floats
 rounded to 12 significant digits before encoding, two-space indent, one
 trailing newline. The shipped schema (``schemas/report.schema.json``)
@@ -12,13 +13,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict
 from importlib import resources
-from typing import Any, IO
+from typing import Any
 
-from .bounds import BoundsReport
 from .errors import CapExceededError, ToolkitError
-from .gadget import GadgetAudit
 
 SIGNIFICANT_DIGITS = 12
 
@@ -43,8 +41,8 @@ def canonical_json(document: dict) -> str:
     return json.dumps(round_floats(document), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(document: dict, out: IO[str] | None = None) -> None:
-    (out or sys.stdout).write(canonical_json(document))
+def write_report(document: dict) -> None:
+    sys.stdout.write(canonical_json(document))
 
 
 def error_report(exc: BaseException) -> dict:
@@ -55,26 +53,6 @@ def error_report(exc: BaseException) -> dict:
     if isinstance(exc, CapExceededError) and exc.constraint:
         doc["error"]["constraint"] = exc.constraint
     return doc
-
-
-def bounds_report_dict(report: BoundsReport, names: list[str]) -> dict:
-    return {
-        "kind": "verify-bounds",
-        "passed": report.all_passed,
-        "branching_score_bits": report.branching_score_bits,
-        "optimal_score_bits": report.optimal_score_bits,
-        "max_node_entropy_bits": report.charges.max_node_entropy_bits,
-        "min_node_entropy_bits": report.charges.min_node_entropy_bits,
-        "bounds": [asdict(check) for check in report.bounds],
-        "subtree_checks": [
-            {**asdict(row), "node": names[row.node]} for row in report.subtree_rows
-        ],
-        "skipped_multi_sink_components": report.skipped_multi_sink_components,
-    }
-
-
-def gadget_audit_dict(audit: GadgetAudit) -> dict:
-    return {"kind": "verify-gadget", "passed": audit.ok, **asdict(audit)}
 
 
 def growth_curve_csv(rows: list[dict]) -> str:

@@ -166,22 +166,6 @@ def score(dist: Distribution, structure: Structure) -> ScoreBreakdown:
     return ScoreBreakdown(per_node, float(node_ordered_total(per_node)))
 
 
-def score_report_dict(dist: Distribution, structure: Structure) -> dict:
-    """Score report in the documented JSON shape."""
-    breakdown = score(dist, structure)
-    return {
-        "total_bits": breakdown.total_bits,
-        "per_node": [
-            {
-                "name": dist.variables[i].name,
-                "parents": [dist.variables[p].name for p in structure.parents[i]],
-                "h_bits": breakdown.per_node_bits[i],
-            }
-            for i in range(structure.n)
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Serialization. JSON is the canonical round-trip format; DOT is provided for
 # rendering and is parsed back only in the subset this module emits.

@@ -22,6 +22,7 @@ from polytreelab import search as search_mod
 from polytreelab.branching import learn_optimal_branching, mutual_information_edges
 from polytreelab.cli import main
 from polytreelab.distribution import (
+    binary_entropy_bits,
     empirical_distribution,
     read_arity_sidecar,
     read_dataset_csv,
@@ -29,6 +30,7 @@ from polytreelab.distribution import (
     write_distribution_json,
 )
 from polytreelab.errors import ToolkitError
+from polytreelab.gadget import DEFAULT_CLAUSE_BIAS
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -183,6 +185,18 @@ class TestScoreCommand:
         per_node = {row["name"]: row for row in doc["score"]["per_node"]}
         assert per_node["X1"]["parents"] == ["X2", "X3"]
         assert per_node["X1"]["h_bits"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_report_shape(self, workdir):
+        doc = run_json(
+            [
+                "score",
+                "--dist", str(workdir / "parity2.json"),
+                "--structure", str(workdir / "parity2_structure.json"),
+            ]
+        )["score"]
+        assert doc["total_bits"] == pytest.approx(2.0, abs=1e-9)
+        assert doc["per_node"][0]["parents"] == ["X2", "X3"]
+        assert doc["per_node"][0]["h_bits"] == pytest.approx(0.0, abs=1e-9)
 
     def test_structure_option_is_required(self, workdir):
         result = CliRunner().invoke(
@@ -463,6 +477,22 @@ class TestGenXorTree:
         assert doc["error"]["message"] == f"depth must be >= 1, got {depth}"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "eps, reported",
+        [
+            ("1e-5", 1.99999999996e-05),
+            ("1e-8", 1.99999999041e-08),
+            ("1e-10", 1.99999871103e-10),
+            ("1e-20", 1.96105692771e-20),
+        ],
+    )
+    def test_tiny_eps_loses_the_one_minus_p_cell(self, eps, reported):
+        # Known deviation: the dense table holds a leaf coin's 1 - p cell only
+        # to one ulp of 1, so the score falls short of 2 * eps by a share that
+        # grows as eps shrinks. A fix moves these pins.
+        doc = run_json(["gen", "xor-tree", "--depth", "1", "--eps", eps])
+        assert doc["generating_score_bits"] == reported < 2 * float(eps)
+
     def test_requires_depth_without_sweep(self, workdir):
         doc = run_json(["gen", "xor-tree", "--eps", "0.3"], expect_exit=1)
         assert doc["kind"] == "error"
@@ -569,6 +599,16 @@ class TestGenCnf:
         assert set(arities) == set(names)
         dataset = read_dataset_csv(str(data), arities=arities)
         assert dataset.rows.shape == (50, len(names))
+
+    def test_metadata_shape(self, workdir):
+        meta = run_json(["gen", "cnf", str(workdir / "two_variable.cnf")])
+        p = DEFAULT_CLAUSE_BIAS
+        assert meta["num_clauses"] == 3
+        assert meta["num_variables"] == 2
+        assert meta["clause_bias"] == pytest.approx(p)
+        assert meta["delta_bits"] == pytest.approx(1.0 - binary_entropy_bits(2 * p * (1 - p)))
+        assert meta["include_inedge_blockers"] is False
+        assert len(meta["layer_entropy_bits"]) == 3
 
     def test_sampling_is_deterministic(self, workdir, tmp_path):
         out_a = tmp_path / "a.csv"

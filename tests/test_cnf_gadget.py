@@ -320,15 +320,6 @@ class TestCompiledGadget:
             )
             assert analytic[2] == pytest.approx(n - 1.0, abs=1e-12)
 
-    def test_metadata_shape(self):
-        meta = CompiledGadget(corpus()["two_variable"]).metadata()
-        assert meta["num_clauses"] == 3
-        assert meta["num_variables"] == 2
-        assert meta["clause_bias"] == pytest.approx(P)
-        assert meta["delta_bits"] == pytest.approx(DELTA)
-        assert meta["include_inedge_blockers"] is False
-        assert len(meta["layer_entropy_bits"]) == 3
-
     def test_sampling_is_deterministic_and_in_range(self):
         compiled = CompiledGadget(corpus()["two_variable"])
         a = compiled.sample_dataset(500, seed=3)

@@ -12,11 +12,14 @@ order, up to that size, skipping any that would take the set's coins past
 queried is a subset of it, so no query passes the coin cap. Two subsets
 ``A`` and ``B`` of ``U`` are drawn as random bit masks within ``U``, and so
 is a parent set ``P`` of a node ``v`` drawn from ``U``, with ``v`` removed.
+Besides the contract's properties, every set queried must have the bits of
+a reference computed apart from the oracle (``reference_h``).
 """
 
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from polytreelab.cnf import bundled_formulas
 from polytreelab.distribution import entropy
 from polytreelab.gadget import ENTROPY_QUERY_MAX_COINS, CompiledGadget, GadgetParams
 from polytreelab.generators import random_joint_distribution
+from test_gadget_oracle import reference_coin_entropy
 
 TOL = 1e-12
 
@@ -49,6 +53,21 @@ SOURCES = {
         for blockers in (False, True)
     },
 }
+
+
+@functools.cache
+def reference_h(source, mask):
+    """The entropy of the nodes in ``mask``, computed apart from the oracle:
+    for a joint, the plug-in entropy of the marginal table left when the
+    other axes are summed out; for a gadget, the full-array coin enumeration
+    of ``test_gadget_oracle``, which reads each node's coins and value rule
+    from the construction rather than from the node's bit rows."""
+    if isinstance(source, CompiledGadget):
+        return reference_coin_entropy(source, mask)
+    dropped = tuple(i for i in range(source.n) if not mask >> i & 1)
+    masses = np.asarray(source.table.sum(axis=dropped)).ravel()
+    masses = masses[masses > 0]
+    return float(-(masses * np.log2(masses)).sum())
 
 
 def node_coins(source, v):
@@ -93,3 +112,6 @@ def test_entropy_source_contract(source_name, data):
     assert source.oracle.conditional(v, p) == pytest.approx(h(p | 1 << v) - h(p), abs=TOL)
     # The named indices are a set: their order does not change the bits.
     assert entropy(source, picked) == entropy(source, sorted(picked)) == h(universe)
+    # Every queried set has the bits of the reference.
+    for s in (universe, a, b, a | b, a & b, p, p | 1 << v):
+        assert h(s) == pytest.approx(reference_h(source, s), abs=TOL), bin(s)

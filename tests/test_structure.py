@@ -19,7 +19,6 @@ from polytreelab.structure import (
     read_structure_dot,
     read_structure_json,
     score,
-    score_report_dict,
     skeleton_components,
     structure_from_dot,
     structure_from_json_dict,
@@ -110,13 +109,6 @@ class TestScore:
         dist, generating = parity_fixture("parity2")
         assert score(dist, Structure.empty(3)).total_bits == pytest.approx(3.0, abs=1e-9)
         assert score(dist, generating).total_bits == pytest.approx(2.0, abs=1e-9)
-
-    def test_report_dict_shape(self):
-        dist, generating = parity_fixture("parity2")
-        doc = score_report_dict(dist, generating)
-        assert doc["total_bits"] == pytest.approx(2.0, abs=1e-9)
-        assert doc["per_node"][0]["parents"] == ["X2", "X3"]
-        assert doc["per_node"][0]["h_bits"] == pytest.approx(0.0, abs=1e-9)
 
     def test_score_totals_are_sum_of_parts(self):
         rng = np.random.default_rng(0)
