@@ -576,8 +576,8 @@ def gen_cnf_cmd(compiled, samples, seed, out, arities_out):
         "family": "cnf",
         "num_clauses": compiled.formula.num_clauses,
         "num_variables": compiled.formula.num_vars,
-        "clause_bias": compiled.params.clause_bias,
-        "delta_bits": compiled.params.delta_bits,
+        "clause_bias": gadget_mod.CLAUSE_BIAS,
+        "delta_bits": gadget_mod.DELTA_BITS,
         "include_inedge_blockers": compiled.params.include_inedge_blockers,
         "layer_entropy_bits": list(layers),
         "samples": samples,

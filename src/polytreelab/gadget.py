@@ -33,8 +33,11 @@ formulas with MAXSAT 3 and 4 have optima of 9.0 and 9.427 bits; see
 ``test_the_optimum_is_not_monotone_in_maxsat`` in
 ``tests/test_cnf_gadget.py``).
 
-Optionally each satellite is shielded by two blocker nodes ``A`` and ``B``
-(``k`` i.i.d. coins of bias ``q`` each) and expands to the tuple
+The numbers of the construction are module constants, stated once:
+``CLAUSE_BIAS`` is ``p``, ``XOR_BIAS`` is ``2p(1-p)`` and ``DELTA_BITS`` is
+``delta``. ``GadgetParams`` holds only the knobs of the optional shield:
+each satellite shielded by two blocker nodes ``A`` and ``B`` (``k`` i.i.d.
+coins of bias ``q`` each) expands to the tuple
 ``(R, A1 xor B1, ..., Ak xor Bk)``; the build asserts
 ``k (H(2q(1-q)) - H(q)) > 1`` so that adopting both blockers as parents is
 the only attractive option. This expansion is off by default.
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .cnf import CnfFormula, best_assignment, satisfied_clauses
 from .distribution import (
@@ -82,34 +85,34 @@ from .structure import Structure, is_polytree, max_indegree
 np = lazy_import("numpy")
 
 ENTROPY_QUERY_MAX_COINS = 20
-DEFAULT_CLAUSE_BIAS = bernoulli_bias_for_entropy(0.5)
+# The bias p below one half whose coin carries exactly half a bit.
+CLAUSE_BIAS = bernoulli_bias_for_entropy(0.5)
+XOR_BIAS = 2 * CLAUSE_BIAS * (1 - CLAUSE_BIAS)
+DELTA_BITS = 1.0 - binary_entropy_bits(XOR_BIAS)
 DEFAULT_BLOCKER_COPIES = 5
 
 
 @dataclass(frozen=True)
 class GadgetParams:
-    """Knobs of the construction.
+    """The shield knobs of the construction, and only those.
 
-    ``clause_bias`` is a constant, not a knob: the bias ``p`` below one half
-    whose coin carries exactly half a bit of entropy, ``DEFAULT_CLAUSE_BIAS``
-    for every gadget. ``xor_bias = 2p(1-p)`` and ``delta_bits =
-    1 - H(2p(1-p))`` are constants derived from it. Blockers are the
-    optional satellite shield; when enabled, ``blocker_bias`` defaults to
-    ``p`` and ``blocker_copies`` to 5, and the information constraint
-    ``k (H(2q(1-q)) - H(q)) > 1`` is asserted.
+    Blockers are the optional satellite shield. When they are on,
+    ``blocker_bias`` is stored as ``CLAUSE_BIAS`` and ``blocker_copies`` as
+    5 unless given, and the information constraint
+    ``k (H(2q(1-q)) - H(q)) > 1`` is asserted; when they are off, both must
+    be left unset.
     """
 
-    clause_bias: ClassVar[float] = DEFAULT_CLAUSE_BIAS
-    xor_bias: ClassVar[float] = 2 * clause_bias * (1 - clause_bias)
-    delta_bits: ClassVar[float] = 1.0 - binary_entropy_bits(xor_bias)
     include_inedge_blockers: bool = False
     blocker_bias: float | None = None
     blocker_copies: int | None = None
 
     def __post_init__(self) -> None:
         if self.include_inedge_blockers:
-            q = self.effective_blocker_bias
-            k = self.effective_blocker_copies
+            q = CLAUSE_BIAS if self.blocker_bias is None else self.blocker_bias
+            k = DEFAULT_BLOCKER_COPIES if self.blocker_copies is None else int(self.blocker_copies)
+            object.__setattr__(self, "blocker_bias", q)
+            object.__setattr__(self, "blocker_copies", k)
             if not 0.0 < q < 0.5:
                 raise ValidationError(f"blocker_bias must be in (0, 0.5), got {q}")
             if k < 1:
@@ -124,16 +127,6 @@ class GadgetParams:
             raise ValidationError(
                 "blocker_bias/blocker_copies require include_inedge_blockers"
             )
-
-    @property
-    def effective_blocker_bias(self) -> float:
-        q = self.blocker_bias
-        return self.clause_bias if q is None else q
-
-    @property
-    def effective_blocker_copies(self) -> int:
-        k = self.blocker_copies
-        return DEFAULT_BLOCKER_COPIES if k is None else int(k)
 
 
 @dataclass(frozen=True)
@@ -225,7 +218,8 @@ class CompiledGadget:
 
     Like a ``Distribution`` it is an entropy source: ``n``, ``variables`` and
     ``oracle`` are all that the searches, the branching learner and ``score``
-    read, so they take a compiled gadget as it is.
+    read, so they take a compiled gadget as it is, and it answers to
+    ``names`` and ``index_of`` as a ``Distribution`` does.
     """
 
     def __init__(self, formula: CnfFormula, params: GadgetParams = GadgetParams()):
@@ -233,6 +227,7 @@ class CompiledGadget:
         self.params = params
         self.coin_biases: dict[str, float] = {}
         self.nodes: tuple[GadgetNode, ...] = tuple(self._build_nodes())
+        self.variables = tuple(VariableMeta(node.name, node.arity) for node in self.nodes)
         self._index_by_name = {node.name: i for i, node in enumerate(self.nodes)}
         self.oracle = EntropyOracle(self._coin_entropy)
 
@@ -244,9 +239,9 @@ class CompiledGadget:
         of one PCG64 stream, and in ``sample_blocks`` each coin draws from
         its own generator, started at draw ``i*N``.
         """
-        p = self.params.clause_bias
-        q = self.params.effective_blocker_bias
-        k = self.params.effective_blocker_copies
+        p = CLAUSE_BIAS
+        q = self.params.blocker_bias
+        k = self.params.blocker_copies
 
         def coin(name: str, bias: float) -> str:
             self.coin_biases[name] = bias
@@ -275,7 +270,7 @@ class CompiledGadget:
             yield GadgetNode(
                 f"X{i}", 2,
                 ((nxt,), (prev,), (f"r{i}", f"c{c + 1}", w), (f"c{a + 1}", f"c{b + 1}")),
-                binary_entropy_bits(self.params.xor_bias) + 3.0,
+                binary_entropy_bits(XOR_BIAS) + 3.0,
             )
         for i in range(1, self.formula.num_vars):
             yield GadgetNode(f"L{i}", 3, ((f"next{i}", f"prev{i + 1}"),), 1.0)
@@ -287,21 +282,17 @@ class CompiledGadget:
         return len(self.nodes)
 
     @property
-    def node_names(self) -> tuple[str, ...]:
-        return tuple(node.name for node in self.nodes)
+    def names(self) -> tuple[str, ...]:
+        return tuple(m.name for m in self.variables)
 
-    @property
-    def variables(self) -> tuple[VariableMeta, ...]:
-        return tuple(VariableMeta(node.name, node.arity) for node in self.nodes)
-
-    def _index(self, name: str) -> int:
+    def index_of(self, name: str) -> int:
         try:
             return self._index_by_name[name]
         except KeyError:
             raise ValidationError(f"unknown gadget node {name!r}") from None
 
     def node(self, name: str) -> GadgetNode:
-        return self.nodes[self._index(name)]
+        return self.nodes[self.index_of(name)]
 
     # -- exact entropy queries -------------------------------------------
 
@@ -343,7 +334,7 @@ class CompiledGadget:
         return _entropy_of_flat(np.bincount(key.ravel(), weights=probs, minlength=radix))
 
     def _mask(self, names: Sequence[str]) -> int:
-        return sum({1 << self._index(name) for name in names})
+        return sum({1 << self.index_of(name) for name in names})
 
     def joint_entropy_bits(self, names: Sequence[str]) -> float:
         """Exact joint entropy of the named nodes, in bits.
@@ -456,22 +447,22 @@ class CompiledGadget:
             satisfying = [abs(lit) for lit in clause if (values[abs(lit) - 1] == 1) == (lit > 0)]
             if satisfying:
                 allocation[j] = min(satisfying)
-        index = self._index_by_name
+        index = self.index_of
         parents: list[tuple[int, ...]] = [()] * self.n
         blockers = self.params.include_inedge_blockers
         for i in range(1, formula.num_vars + 1):
             if blockers:
-                parents[index[f"R{i}"]] = (index[f"A{i}"], index[f"B{i}"])
+                parents[index(f"R{i}")] = (index(f"A{i}"), index(f"B{i}"))
             hosted = [j for j, host in allocation.items() if host == i]
             if len(hosted) == 2:
-                chosen = tuple(index[f"C{j + 1}"] for j in hosted)
+                chosen = tuple(index(f"C{j + 1}") for j in hosted)
             elif len(hosted) == 1:
-                chosen = (index[f"R{i}"], index[f"C{hosted[0] + 1}"])
+                chosen = (index(f"R{i}"), index(f"C{hosted[0] + 1}"))
             else:
-                chosen = (index[f"R{i}"],)
-            parents[index[f"X{i}"]] = chosen
+                chosen = (index(f"R{i}"),)
+            parents[index(f"X{i}")] = chosen
         for i in range(1, formula.num_vars):
-            parents[index[f"L{i}"]] = (index[f"X{i}"], index[f"X{i + 1}"])
+            parents[index(f"L{i}")] = (index(f"X{i}"), index(f"X{i + 1}"))
         return SatisfyingPlan(
             assignment=values,
             satisfied_count=satisfied,
@@ -495,9 +486,8 @@ def verify_gadget(
     assignment-induced structure against ``m' (1/2 - delta) + n delta``.
     """
     check_tolerance(tolerance_bits)
-    params = compiled.params
     formula = compiled.formula
-    delta = params.delta_bits
+    delta = DELTA_BITS
     rows: list[GadgetCheckRow] = []
 
     def check(name: str, observed: float, expected: float) -> None:
@@ -535,7 +525,7 @@ def verify_gadget(
                 compiled.entropy_decrease_bits(x, given),
                 expected,
             )
-        if params.include_inedge_blockers:
+        if compiled.params.include_inedge_blockers:
             check(
                 f"residual[{r}|A{i},B{i}]",
                 compiled.conditional_entropy_bits(r, (f"A{i}", f"B{i}")),
@@ -559,8 +549,8 @@ def verify_gadget(
     plan = compiled.plan_for_assignment(assignment)
     drop = 0.0
     for i in range(1, formula.num_vars + 1):
-        node_index = compiled._index_by_name[f"X{i}"]
-        given = tuple(compiled.nodes[p].name for p in plan.structure.parents[node_index])
+        parents = plan.structure.parents[compiled.index_of(f"X{i}")]
+        given = tuple(compiled.nodes[p].name for p in parents)
         drop += compiled.entropy_decrease_bits(f"X{i}", given)
     expected_drop = plan.satisfied_count * (0.5 - delta) + formula.num_vars * delta
     check("assignment_drop", drop, expected_drop)

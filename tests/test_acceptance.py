@@ -15,7 +15,7 @@ from polytreelab.bounds import entropy_range, verify_bounds
 from polytreelab.branching import learn_optimal_branching
 from polytreelab.cnf import best_assignment, bundled_formulas
 from polytreelab.distribution import binary_entropy_bits, entropy
-from polytreelab.gadget import DEFAULT_CLAUSE_BIAS, CompiledGadget, verify_gadget
+from polytreelab.gadget import CLAUSE_BIAS, DELTA_BITS, XOR_BIAS, CompiledGadget, verify_gadget
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -217,8 +217,8 @@ class TestAcceptance:
         for name, formula in corpus:
             compiled = CompiledGadget(formula)
             m, n = formula.num_clauses, formula.num_vars
-            p = compiled.params.clause_bias
-            alpha = compiled.params.xor_bias
+            p = CLAUSE_BIAS
+            alpha = XOR_BIAS
             layers = compiled.layer_entropy_bits()
             targets = (
                 m * binary_entropy_bits(p),
@@ -234,7 +234,7 @@ class TestAcceptance:
                 failures.append(f"{name}: {bad[:4]}")
                 continue
             _, m_prime = best_assignment(formula)
-            delta = compiled.params.delta_bits
+            delta = DELTA_BITS
             want_drop = m_prime * (0.5 - delta) + n * delta
             if abs(audit.observed_drop_bits - want_drop) > TOL_EXACT:
                 failures.append(
@@ -252,7 +252,7 @@ class TestAcceptance:
 
     def test_criterion_8_clause_bias_solve(self):
         start = time.perf_counter()
-        p = DEFAULT_CLAUSE_BIAS
+        p = CLAUSE_BIAS
         residual = abs(binary_entropy_bits(p) - 0.5)
         passed = residual < TOL_BIAS and 0.10 < p < 0.12
         _report(

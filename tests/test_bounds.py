@@ -5,6 +5,8 @@ import math
 import pytest
 
 from polytreelab.bounds import (
+    DEFAULT_TOLERANCE_BITS,
+    MIN_ENTROPY_EPS,
     charge_report,
     components_with_sinks,
     entropy_range,
@@ -114,6 +116,47 @@ class TestSubtreeChargeBound:
         assert rows[0].lhs_bits == pytest.approx(1.0, abs=1e-9)
         assert rows[0].rhs_bits == pytest.approx(0.5 * 2.0 * math.log2(3), abs=1e-9)
         assert rows[0].passed
+
+
+class TestChargeInequalitiesOnSkippedComponents:
+    """``verify_bounds`` writes subtree rows only for single-sink components.
+    The two per-subtree inequalities still hold at every node of the exact
+    optima below, skipped components included."""
+
+    @staticmethod
+    def exact_optima():
+        # 80 instances at n = 6: random joints and random 2-polytrees, each
+        # searched with k = 2 and with no indegree bound.
+        for seed in range(20):
+            dists = (
+                random_joint_distribution([2] * 6, seed=seed),
+                random_polytree_instance(6, 2, 2, seed=seed)[0],
+            )
+            for dist in dists:
+                for k in (2, None):
+                    yield dist, exact_optimal_polytree(dist, k).best
+
+    def test_both_inequalities_hold_at_every_node(self):
+        skipped_instances = nodes_checked = 0
+        for dist, optimal in self.exact_optima():
+            report = verify_bounds(dist, optimal, learn_optimal_branching(dist))
+            skipped_instances += report.skipped_multi_sink_components > 0
+            charges = report.charges
+            u_bits, l_bits = charges.max_node_entropy_bits, charges.min_node_entropy_bits
+            for info in charges.per_node:
+                subtree = [charges.per_node[x] for x in info.subtree_nodes]
+                residual = info.subtree_residual_bits
+                charge_sum = sum(c.charge_bits for c in subtree)
+                rhs = 0.5 * residual * math.log2(len(subtree))
+                assert charge_sum <= rhs + DEFAULT_TOLERANCE_BITS
+                if l_bits > MIN_ENTROPY_EPS:
+                    capped_sum = sum(c.capped_charge_bits for c in subtree)
+                    factor = 2.5 + 0.5 * math.log2(u_bits / l_bits)
+                    assert capped_sum <= factor * residual + DEFAULT_TOLERANCE_BITS
+                nodes_checked += 1
+        assert nodes_checked == 80 * 6
+        # The rows verify_bounds leaves out are covered here.
+        assert skipped_instances > 0
 
 
 class TestComponentsWithSinks:

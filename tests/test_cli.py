@@ -30,7 +30,7 @@ from polytreelab.distribution import (
     write_distribution_json,
 )
 from polytreelab.errors import ToolkitError
-from polytreelab.gadget import DEFAULT_CLAUSE_BIAS
+from polytreelab.gadget import CLAUSE_BIAS
 from polytreelab.generators import (
     parity_fixture,
     random_joint_distribution,
@@ -602,7 +602,7 @@ class TestGenCnf:
 
     def test_metadata_shape(self, workdir):
         meta = run_json(["gen", "cnf", str(workdir / "two_variable.cnf")])
-        p = DEFAULT_CLAUSE_BIAS
+        p = CLAUSE_BIAS
         assert meta["num_clauses"] == 3
         assert meta["num_variables"] == 2
         assert meta["clause_bias"] == pytest.approx(p)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from census import restricted_formulas
+from census import maxsat_plan_and_optimum, restricted_formulas
 from polytreelab import cnf
 from polytreelab.cnf import (
     CnfFormula,
@@ -24,18 +24,19 @@ from polytreelab.distribution import (
 )
 from polytreelab.errors import CapExceededError, FormatError, ValidationError
 from polytreelab.gadget import (
+    CLAUSE_BIAS,
     DEFAULT_BLOCKER_COPIES,
-    DEFAULT_CLAUSE_BIAS,
+    DELTA_BITS,
     ENTROPY_QUERY_MAX_COINS,
+    XOR_BIAS,
     CompiledGadget,
     GadgetParams,
     verify_gadget,
 )
-from polytreelab.search import exact_optimal_polytree
-from polytreelab.structure import is_polytree, max_indegree, score
+from polytreelab.structure import is_polytree, max_indegree
 
 CORPUS = Path(cnf.__file__).parent / "data" / "cnf"
-P = DEFAULT_CLAUSE_BIAS
+P = CLAUSE_BIAS
 ALPHA = 2 * P * (1 - P)
 DELTA = 1.0 - binary_entropy_bits(ALPHA)
 
@@ -181,20 +182,23 @@ class TestBundledFormulas:
 
 class TestGadgetParams:
     def test_default_constants(self):
-        params = GadgetParams()
-        assert binary_entropy_bits(params.clause_bias) == pytest.approx(
-            0.5, abs=1e-10
-        )
-        assert 0.10 < params.clause_bias < 0.12
-        assert params.xor_bias == pytest.approx(ALPHA, abs=1e-12)
-        assert params.delta_bits == pytest.approx(DELTA, abs=1e-12)
+        assert binary_entropy_bits(CLAUSE_BIAS) == pytest.approx(0.5, abs=1e-10)
+        assert 0.10 < CLAUSE_BIAS < 0.12
+        assert XOR_BIAS == pytest.approx(ALPHA, abs=1e-12)
+        assert DELTA_BITS == pytest.approx(DELTA, abs=1e-12)
         assert DEFAULT_BLOCKER_COPIES == 5
+
+    def test_constants_keep_their_bits(self):
+        # Every gadget fixture and report digest rests on these three floats.
+        assert CLAUSE_BIAS.hex() == "0x1.c2ac93f695678p-4"
+        assert XOR_BIAS.hex() == "0x1.9116612e3485ap-3"
+        assert DELTA_BITS.hex() == "0x1.2556a0b941d66p-2"
 
     def test_blocker_defaults_satisfy_margin(self):
         params = GadgetParams(include_inedge_blockers=True)
-        q = params.effective_blocker_bias
-        k = params.effective_blocker_copies
-        assert q == P
+        q = params.blocker_bias
+        k = params.blocker_copies
+        assert q == CLAUSE_BIAS
         assert k == 5
         margin = k * (binary_entropy_bits(2 * q * (1 - q)) - binary_entropy_bits(q))
         assert margin > 1.0
@@ -212,8 +216,8 @@ class TestGadgetParams:
         params = GadgetParams(
             include_inedge_blockers=True, blocker_bias=0.25, blocker_copies=10
         )
-        assert params.effective_blocker_bias == 0.25
-        assert params.effective_blocker_copies == 10
+        assert params.blocker_bias == 0.25
+        assert params.blocker_copies == 10
 
     def test_rejects_blocker_knobs_without_flag(self):
         with pytest.raises(ValidationError):
@@ -225,11 +229,11 @@ class TestGadgetParams:
 class TestCompiledGadget:
     def test_node_order_single_variable(self):
         compiled = CompiledGadget(corpus()["single_variable"])
-        assert compiled.node_names == ("C1", "C2", "C3", "R1", "X1")
+        assert compiled.names == ("C1", "C2", "C3", "R1", "X1")
 
     def test_node_order_three_variable(self):
         compiled = CompiledGadget(corpus()["three_variable"])
-        assert compiled.node_names == (
+        assert compiled.names == (
             "C1", "C2", "C3",
             "R1", "X1", "R2", "X2", "R3", "X3",
             "L1", "L2",
@@ -238,8 +242,8 @@ class TestCompiledGadget:
     def test_node_order_with_blockers(self):
         params = GadgetParams(include_inedge_blockers=True)
         compiled = CompiledGadget(corpus()["three_variable"], params)
-        assert len(compiled.node_names) == 17
-        assert compiled.node_names[3:7] == ("A1", "B1", "R1", "X1")
+        assert len(compiled.names) == 17
+        assert compiled.names[3:7] == ("A1", "B1", "R1", "X1")
 
     def test_principal_coins_follow_occurrences(self):
         # Low bit first: next, prev, r xor cc xor w, then ca xor cb for the
@@ -327,8 +331,8 @@ class TestCompiledGadget:
         np.testing.assert_array_equal(a.rows, b.rows)
         c = compiled.sample_dataset(500, seed=4)
         assert not np.array_equal(a.rows, c.rows)
-        assert a.rows.shape == (500, len(compiled.node_names))
-        assert tuple(m.name for m in a.variables) == compiled.node_names
+        assert a.rows.shape == (500, len(compiled.names))
+        assert tuple(m.name for m in a.variables) == compiled.names
 
     def test_sampling_rejects_empty(self):
         compiled = CompiledGadget(corpus()["single_variable"])
@@ -339,7 +343,7 @@ class TestCompiledGadget:
         compiled = CompiledGadget(corpus()["single_variable"])
         dataset = compiled.sample_dataset(200_000, seed=11)
         dist = empirical_distribution(dataset)
-        for idx, name in enumerate(compiled.node_names):
+        for idx, name in enumerate(compiled.names):
             got = entropy(dist, [idx])
             want = compiled.node(name).analytic_bits
             assert abs(got - want) < 0.02, name
@@ -352,19 +356,17 @@ class TestSatisfyingPlan:
         assert plan.assignment == (1,)
         assert plan.satisfied_count == 2
         assert plan.allocation == {0: 1, 1: 1}
-        index = {name: i for i, name in enumerate(compiled.node_names)}
-        assert plan.structure.parents[index["X1"]] == (
-            index["C1"], index["C2"]
-        )
+        index = compiled.index_of
+        assert plan.structure.parents[index("X1")] == (index("C1"), index("C2"))
 
     def test_unsatisfying_polarity_hosts_satellite_and_minority(self):
         compiled = CompiledGadget(corpus()["single_variable"])
         plan = compiled.plan_for_assignment((0,))
         assert plan.satisfied_count == 1
         assert plan.allocation == {2: 1}
-        index = {name: i for i, name in enumerate(compiled.node_names)}
-        assert plan.structure.parents[index["X1"]] == tuple(
-            sorted((index["R1"], index["C3"]))
+        index = compiled.index_of
+        assert plan.structure.parents[index("X1")] == tuple(
+            sorted((index("R1"), index("C3")))
         )
 
     def test_plans_are_polytrees_with_indegree_two(self):
@@ -391,7 +393,7 @@ class TestSatisfyingPlan:
         params = GadgetParams(include_inedge_blockers=blockers)
         for name, formula in bundled_formulas():
             compiled = CompiledGadget(formula, params)
-            index = {node: i for i, node in enumerate(compiled.node_names)}
+            index = compiled.index_of
             for bits in itertools.product((0, 1), repeat=formula.num_vars):
                 plan = compiled.plan_for_assignment(bits)
                 satisfied = 0
@@ -399,7 +401,7 @@ class TestSatisfyingPlan:
                     children = [
                         c
                         for c, ps in enumerate(plan.structure.parents)
-                        if index[f"C{j + 1}"] in ps
+                        if index(f"C{j + 1}") in ps
                     ]
                     true_literals = [
                         abs(lit) for lit in clause if (bits[abs(lit) - 1] == 1) == (lit > 0)
@@ -408,7 +410,7 @@ class TestSatisfyingPlan:
                         satisfied += 1
                         host = plan.allocation[j]
                         assert host in true_literals, (name, bits, j)
-                        assert children == [index[f"X{host}"]], (name, bits, j)
+                        assert children == [index(f"X{host}")], (name, bits, j)
                     else:
                         assert j not in plan.allocation and children == [], (name, bits, j)
                 assert plan.satisfied_count == satisfied == len(plan.allocation)
@@ -416,12 +418,10 @@ class TestSatisfyingPlan:
     def test_chain_nodes_adopt_adjacent_principals(self):
         compiled = CompiledGadget(corpus()["three_variable"])
         plan = compiled.plan_for_assignment()
-        index = {name: i for i, name in enumerate(compiled.node_names)}
+        index = compiled.index_of
         for i in (1, 2):
-            parents = plan.structure.parents[index[f"L{i}"]]
-            assert parents == tuple(
-                sorted((index[f"X{i}"], index[f"X{i + 1}"]))
-            )
+            parents = plan.structure.parents[index(f"L{i}")]
+            assert parents == tuple(sorted((index(f"X{i}"), index(f"X{i + 1}"))))
 
     def test_rejects_bad_assignment_length(self):
         compiled = CompiledGadget(corpus()["two_variable"])
@@ -429,15 +429,6 @@ class TestSatisfyingPlan:
             compiled.plan_for_assignment((1,))
         with pytest.raises(ValidationError):
             compiled.plan_for_assignment((1, 2))
-
-
-def _maxsat_plan_and_optimum(formula: CnfFormula) -> tuple[int, float, float]:
-    """MAXSAT, the satisfying plan's score, and the optimal 2-polytree score
-    of the gadget without blockers."""
-    compiled = CompiledGadget(formula)
-    plan = score(compiled, compiled.plan_for_assignment().structure).total_bits
-    optimum = exact_optimal_polytree(compiled, 2, max_nodes=compiled.n).best_score_bits
-    return best_assignment(formula)[1], plan, optimum
 
 
 class TestOptimumCensus:
@@ -448,7 +439,7 @@ class TestOptimumCensus:
     def test_every_two_variable_three_clause_formula_beats_its_plan(self):
         formulas = restricted_formulas(2, 3)
         assert len(formulas) == 8
-        rows = {formula.clauses: _maxsat_plan_and_optimum(formula) for formula in formulas}
+        rows = {formula.clauses: maxsat_plan_and_optimum(formula) for formula in formulas}
         for clauses, (maxsat, plan, optimum) in rows.items():
             assert maxsat == 3
             assert plan == pytest.approx(9.713537, abs=1e-6)
@@ -461,7 +452,7 @@ class TestOptimumCensus:
         three = CnfFormula(2, [[1], [2], [-1, -2], [-1, -2]])
         four = CnfFormula(2, [[1], [2], [1, -2], [-1, 2]])
         assert {three.clauses, four.clauses} <= census
-        (sat3, plan3, opt3), (sat4, plan4, opt4) = map(_maxsat_plan_and_optimum, (three, four))
+        (sat3, plan3, opt3), (sat4, plan4, opt4) = map(maxsat_plan_and_optimum, (three, four))
         assert (sat3, sat4) == (3, 4)
         # The plans separate the formulas: more satisfied clauses, lower score.
         assert (plan3, plan4) == (pytest.approx(10.213537, abs=1e-6), pytest.approx(10.0, abs=1e-9))
@@ -645,8 +636,8 @@ class TestBlockerInformationBudget:
     def test_expanded_satellite_entropies(self):
         params = GadgetParams(include_inedge_blockers=True)
         compiled = CompiledGadget(corpus()["single_variable"], params)
-        k = params.effective_blocker_copies
-        q = params.effective_blocker_bias
+        k = params.blocker_copies
+        q = params.blocker_bias
         assert compiled.joint_entropy_bits(["A1"]) == pytest.approx(
             k * binary_entropy_bits(q), abs=1e-12
         )
@@ -663,8 +654,8 @@ class TestBlockerInformationBudget:
         # would need to lose to be worth an in-edge.
         params = GadgetParams(include_inedge_blockers=True)
         compiled = CompiledGadget(corpus()["single_variable"], params)
-        k = params.effective_blocker_copies
-        q = params.effective_blocker_bias
+        k = params.blocker_copies
+        q = params.blocker_bias
         drop = compiled.entropy_decrease_bits("R1", ("A1",))
         margin = k * (
             binary_entropy_bits(2 * q * (1 - q)) - binary_entropy_bits(q)

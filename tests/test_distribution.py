@@ -220,7 +220,7 @@ class TestBernoulliSolver:
         assert abs(binary_entropy_bits(p) - 0.5) < 1e-10
 
     def test_half_bit_bias_is_pinned_to_the_last_bit(self):
-        # DEFAULT_CLAUSE_BIAS, and so every gadget fixture, is this float.
+        # CLAUSE_BIAS, and so every gadget fixture, is this float.
         assert bernoulli_bias_for_entropy(0.5).hex() == "0x1.c2ac93f695678p-4"
 
     @pytest.mark.parametrize(

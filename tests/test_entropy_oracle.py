@@ -166,7 +166,7 @@ def test_gadget_joint_entropy_is_bit_identical_under_every_name_order(blockers):
         assert len(values) == 1, (scope, values)
         # The memoised answer equals a fresh gadget's first answer.
         assert values == {fresh.joint_entropy_bits(scope[::-1])}
-        mask = sum(1 << gadget.node_names.index(name) for name in scope)
+        mask = sum(1 << gadget.index_of(name) for name in scope)
         assert values == {fresh._coin_entropy(mask)}
 
 

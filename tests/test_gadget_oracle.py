@@ -33,7 +33,7 @@ def reference_node(gadget, name):
     the xor of its two coins. The value rule takes the coins' int64 bits in
     the order of the coins."""
     kind, i = name[0], int(name[1:])
-    k = gadget.params.effective_blocker_copies
+    k = gadget.params.blocker_copies
     if kind == "C":
         return (f"c{i}",), 2, lambda c: c
     if kind in "AB":
@@ -69,7 +69,7 @@ def reference_values(gadget, name, bits):
 def reference_coin_entropy(gadget, mask):
     """Joint entropy of the nodes in ``mask`` with one full ``2^c`` bit array
     per coin: the enumeration ``_coin_entropy`` ran before its broadcast grid."""
-    names = [gadget.node_names[i] for i in range(gadget.n) if mask >> i & 1]
+    names = [gadget.names[i] for i in range(gadget.n) if mask >> i & 1]
     coin_names = sorted({c for name in names for c in reference_node(gadget, name)[0]})
     if len(coin_names) > ENTROPY_QUERY_MAX_COINS:
         raise CapExceededError(
@@ -101,7 +101,7 @@ def _signature(gadget, mask):
     """All that either enumeration reads of a query: the biases of its coins
     in sorted order and each node's kind, arity and coin ranks. Queries with
     one signature run the same arithmetic, so the reference runs once each."""
-    names = [gadget.node_names[i] for i in range(gadget.n) if mask >> i & 1]
+    names = [gadget.names[i] for i in range(gadget.n) if mask >> i & 1]
     nodes = [(name[0],) + reference_node(gadget, name)[:2] for name in names]
     coins = sorted({c for _, node_coins, _ in nodes for c in node_coins})
     rank = {c: i for i, c in enumerate(coins)}

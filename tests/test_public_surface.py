@@ -1,12 +1,18 @@
 """Every public top-level function and class in ``src/polytreelab`` has a
 reader: code in the package names it, the package exports it in
-``__all__``, or it is a click command or group in ``cli.py``. A public name
-that only tests call is surface that callers must see through."""
+``__all__``, or it is a click command or group in ``cli.py``. Every public
+method and property of a public class has one too: code in the package
+names it, or the benchmark's tracer (``bench/tracer.py``) wraps it as one of
+its ``TARGETS``. A public name that only tests call is surface that callers
+must see through."""
 
 import ast
+import importlib.util
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "polytreelab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polytreelab"
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def _is_click_command(node) -> bool:
@@ -17,9 +23,13 @@ def _is_click_command(node) -> bool:
     )
 
 
-def test_every_public_definition_is_named_by_the_package_or_exported():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+def _package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _named(trees: dict) -> set:
+    """Every name and attribute the package's code mentions."""
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -27,6 +37,20 @@ def test_every_public_definition_is_named_by_the_package_or_exported():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    return named
+
+
+def _tracer_targets() -> set:
+    """``module.py:Class.method`` for each method the tracer wraps."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {f"{module.rpartition('.')[2]}.py:{attr}" for module, attr, _ in tracer.TARGETS}
+
+
+def test_every_public_definition_is_named_by_the_package_or_exported():
+    trees = _package_trees()
+    named = _named(trees)
     (exported,) = (
         ast.literal_eval(node.value)
         for node in trees["__init__.py"].body
@@ -42,5 +66,23 @@ def test_every_public_definition_is_named_by_the_package_or_exported():
         and node.name not in named
         and node.name not in exported
         and not (module == "cli.py" and _is_click_command(node))
+    ]
+    assert unread == []
+
+
+def test_every_public_method_is_named_by_the_package_or_traced():
+    trees = _package_trees()
+    named = _named(trees)
+    traced = _tracer_targets()
+    unread = [
+        f"{module}:{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in named
+        and f"{module}:{cls.name}.{node.name}" not in traced
     ]
     assert unread == []

@@ -54,7 +54,7 @@ def test_gadget_nodes_name_their_coins(blockers):
     # each node's coins are exactly the distinct coins of its bit rows.
     formula = dict(bundled_formulas())["two_variable"]
     gadget = CompiledGadget(formula, GadgetParams(include_inedge_blockers=blockers))
-    for name in gadget.node_names:
+    for name in gadget.names:
         node = gadget.node(name)
         assert isinstance(node.coins, tuple) and node.coins
         assert len(set(node.coins)) == len(node.coins)
